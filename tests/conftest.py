@@ -3,6 +3,17 @@ import pytest
 
 from ufcast.core import TimeSeries
 
+try:
+    from hypothesis import settings
+except ImportError:  # optional test dependency; property tests skip
+    pass
+else:
+    # fixed example sequence and no example database, so tier-1 runs the
+    # same examples every time
+    settings.register_profile("ufcast", derandomize=True, database=None,
+                              deadline=None)
+    settings.load_profile("ufcast")
+
 
 def seasonal_series(n=150, sp=24, level=60.0, slope=0.05, amp=0.3,
                     noise=0.02, seed=0, start_index=0):

@@ -10,6 +10,8 @@ from ufcast.forecasters import (
     SESForecaster,
     ThetaForecaster,
     _SMOOTHING_GRID,
+    _holt_sse_grid,
+    _holt_sse_scalar,
     _ses_sse_grid,
 )
 from tests.conftest import seasonal_series
@@ -101,6 +103,38 @@ class TestHolt:
             plain.predict([1, 2, 5]).values, damped.predict([1, 2, 5]).values,
             rtol=1e-12,
         )
+
+    @pytest.mark.parametrize("damped, given", [
+        (False, {"alpha": 0.3}),
+        (False, {"beta": 0.1}),
+        (True, {"alpha": 0.3}),
+        (True, {"beta": 0.1}),
+        (True, {"phi": 0.9}),
+        (True, {"alpha": 0.3, "beta": 0.1}),
+        (True, {"alpha": 0.3, "phi": 0.9}),
+        (True, {"beta": 0.1, "phi": 0.9}),
+    ], ids=lambda v: "damped" if v is True else "holt" if v is False
+        else "+".join(v))
+    def test_partially_given_coefficients_stay_fixed(self, damped, given):
+        y = seasonal_series(60, sp=1, slope=0.4, noise=0.05, seed=15)
+        p = HoltForecaster(damped=damped, **given).fit(y).get_fitted_params()
+        for name, value in given.items():
+            assert p[name] == value
+        phi = p["phi"] if damped else 1.0
+        # the reported SSE is the in-sample SSE of the reported parameters
+        assert p["sse"] == _holt_sse_scalar(
+            y.values.tolist(), p["alpha"], p["beta"], phi,
+            p["initial_level"], p["initial_trend"])
+        # and no worse than the grid over the free coefficients alone
+        axes = {"alpha": _SMOOTHING_GRID, "beta": _SMOOTHING_GRID,
+                "phi": _SMOOTHING_GRID if damped else np.ones(1)}
+        axes.update({name: np.array([value]) for name, value in given.items()})
+        aa, bb, pp = (g.ravel() for g in np.meshgrid(*axes.values(),
+                                                     indexing="ij"))
+        values = y.values
+        b0 = (values[-1] - values[0]) / (len(values) - 1)
+        assert p["sse"] <= _holt_sse_grid(values, aa, bb, pp, values[0],
+                                          b0).min()
 
     def test_constant_series_flat(self):
         f = HoltForecaster().fit(np.full(30, 4.0))
