@@ -14,11 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import BaseForecaster, TimeSeries, as_series
-from .exceptions import (
-    SeriesTooShortError,
-    UnimplementedStrategyError,
-    UnsupportedInSampleError,
-)
+from .exceptions import SeriesTooShortError, UnsupportedInSampleError
 
 __all__ = [
     "LaggedTable",
@@ -55,27 +51,19 @@ def tabularize(y, window_length: int) -> LaggedTable:
     return LaggedTable(X=X, targets=targets, window_length=w)
 
 
-_STRATEGIES = ("recursive", "direct", "hybrid")
-
-
 class ReducedRegressionForecaster(BaseForecaster):
     """Forecasting via reduction to tabular regression.
 
     Fits the regressor on the lagged-window table and generates multi-step
     forecasts with the recursive strategy: the last window is fed to the
-    regressor, the prediction appended, and the window slid forward.  The
-    ``direct`` and ``hybrid`` strategy names are reserved but not
-    implemented.  In-sample predictions exist from position
-    ``window_length`` onwards (earlier points have no full window).
+    regressor, the prediction appended, and the window slid forward.
+    In-sample predictions exist from position ``window_length`` onwards
+    (earlier points have no full window).
     """
 
-    def __init__(self, regressor, window_length: int = 10,
-                 strategy: str = "recursive"):
-        if strategy not in _STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
+    def __init__(self, regressor, window_length: int = 10):
         self.regressor = regressor
         self.window_length = window_length
-        self.strategy = strategy
         super().__init__()
 
     def _children(self):
@@ -85,10 +73,6 @@ class ReducedRegressionForecaster(BaseForecaster):
         return self.window_length + 1
 
     def _fit(self, y, fh):
-        if self.strategy != "recursive":
-            raise UnimplementedStrategyError(
-                f"strategy {self.strategy!r} is not implemented"
-            )
         table = tabularize(y, self.window_length)
         self.regressor.fit(table.X, table.targets)
         self.n_windows_ = table.targets.size

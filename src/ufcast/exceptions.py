@@ -15,7 +15,6 @@ __all__ = [
     "UnknownParameterError",
     "OptimizerFailedError",
     "NonPositiveValuesError",
-    "UnimplementedStrategyError",
     "DimensionMismatchError",
     "KTooLargeError",
     "AllCandidatesFailedError",
@@ -73,10 +72,6 @@ class OptimizerFailedError(UfcastError):
 
 class NonPositiveValuesError(UfcastError):
     """Operation requires strictly positive values."""
-
-
-class UnimplementedStrategyError(UfcastError):
-    """Named but intentionally unimplemented strategy variant."""
 
 
 class DimensionMismatchError(UfcastError):

@@ -87,8 +87,7 @@ def _regressor(token: str, external):
 
 
 def build_model(name: str, sp: int, horizon: int, window_rule: str = "max",
-                external_regressors: dict | None = None,
-                boost_deseasonalize: bool = False):
+                external_regressors: dict | None = None):
     """Build a fresh forecaster for a registry name.
 
     Parameters
@@ -102,10 +101,6 @@ def build_model(name: str, sp: int, horizon: int, window_rule: str = "max",
     external_regressors : dict, optional
         name -> zero-argument factory for regressors not shipped here
         (``RF``, ``XGB``).
-    boost_deseasonalize : bool
-        Also seasonally adjust the residual series in boosted recipes
-        (off by default; the boosted base model already handles
-        seasonality).
     """
     w = default_window_length(sp, window_rule)
 
@@ -139,15 +134,13 @@ def build_model(name: str, sp: int, horizon: int, window_rule: str = "max",
         return TransformedTargetForecaster(steps)
 
     def boosted_pipeline(reg_token, window):
-        steps = [deseas()] if boost_deseasonalize else []
-        steps += [
+        return TransformedTargetForecaster([
             ("detrend", Detrender(theta_pipeline(box_cox=True))),
             ("standardize", Standardizer()),
             ("forecast", ReducedRegressionForecaster(
                 _regressor(reg_token, external_regressors), window_length=window
             )),
-        ]
-        return TransformedTargetForecaster(steps)
+        ])
 
     def tuned(pipeline):
         cv = SlidingWindowSplitter(

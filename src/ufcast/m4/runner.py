@@ -32,11 +32,7 @@ __all__ = ["RunManifest", "run", "read_results", "dumps_17g"]
 
 @dataclass
 class RunManifest:
-    """Everything that determines a benchmark run's outputs.
-
-    ``seed`` is reserved for future stochastic models; all shipped models
-    are deterministic.
-    """
+    """Everything that determines a benchmark run's outputs."""
 
     datasets: list
     models: list
@@ -46,7 +42,6 @@ class RunManifest:
     jobs: int = 1
     mase_denominator: str = "as_formula"
     window_rule: str = "max"
-    seed: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +192,13 @@ def run(manifest: RunManifest, external_regressors: dict | None = None) -> dict:
     """
     global _EXTERNAL_REGRESSORS
     _EXTERNAL_REGRESSORS = external_regressors
+    try:
+        return _run_manifest(manifest)
+    finally:
+        _EXTERNAL_REGRESSORS = None
 
+
+def _run_manifest(manifest: RunManifest) -> dict:
     started = time.perf_counter()
     models = list(manifest.models)
     if "Naive2" not in models:
@@ -241,7 +242,6 @@ def run(manifest: RunManifest, external_regressors: dict | None = None) -> dict:
             for row in per_dataset_rows[dataset]:
                 fh.write(dumps_17g(row) + "\n")
         fh.write(dumps_17g(aggregate) + "\n")
-    _EXTERNAL_REGRESSORS = None
     return aggregate
 
 

@@ -8,11 +8,7 @@ from ufcast.compose import (
     tabularize,
 )
 from ufcast.core import TimeSeries
-from ufcast.exceptions import (
-    SeriesTooShortError,
-    UnimplementedStrategyError,
-    UnsupportedInSampleError,
-)
+from ufcast.exceptions import SeriesTooShortError, UnsupportedInSampleError
 from ufcast.forecasters import (
     HoltForecaster,
     NaiveForecaster,
@@ -105,12 +101,6 @@ class TestReducedRegression:
             ReducedRegressionForecaster(LinearRegressor(), window_length=9).fit(
                 np.arange(5.0)
             )
-
-    @pytest.mark.parametrize("strategy", ["direct", "hybrid"])
-    def test_named_strategies_unimplemented(self, strategy):
-        f = ReducedRegressionForecaster(LinearRegressor(), 3, strategy=strategy)
-        with pytest.raises(UnimplementedStrategyError):
-            f.fit(np.arange(10.0))
 
     def test_interpolating_regressor_reproduces_ar_continuation(self):
         # y_t = 0.6 y_{t-1} + 0.4 y_{t-2}: exactly AR-representable windows

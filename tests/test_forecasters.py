@@ -200,6 +200,46 @@ class TestTheta:
             ThetaForecaster().fit((1.0, 2.0))
 
 
+SMOOTHERS = {
+    "ses": SESForecaster,
+    "holt": HoltForecaster,
+    "damped": lambda: HoltForecaster(damped=True),
+    "theta": ThetaForecaster,
+}
+
+
+class TestSmoothingUpdate:
+    """The cheap update path carries the smoothing state exactly: splitting
+    new data into chunks changes no bit of any prediction."""
+
+    @pytest.mark.parametrize("make", SMOOTHERS.values(), ids=SMOOTHERS)
+    def test_chunked_update_matches_one_update(self, make):
+        y = seasonal_series(60, sp=1, noise=0.05, seed=41).values
+        whole = make().fit(y[:30]).update(y[30:])
+        chunked = make().fit(y[:30])
+        for lo, hi in ((30, 31), (31, 38), (38, 60)):
+            chunked.update(y[lo:hi])
+        steps = list(range(-59, 0)) + list(range(1, 9))
+        assert (whole.predict(steps).values.tobytes()
+                == chunked.predict(steps).values.tobytes())
+        assert whole.get_fitted_params() == chunked.get_fitted_params()
+
+    def test_fixed_alpha_ses_update_matches_refit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(2, 50))
+            k = int(rng.integers(1, n))
+            y = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-3, 6)
+            alpha = float(rng.uniform(0.0, 1.0))
+            refit = SESForecaster(alpha=alpha).fit(y)
+            updated = SESForecaster(alpha=alpha).fit(y[:k]).update(y[k:])
+            steps = list(range(-(n - 1), 0)) + [1, 2, 3]
+            assert (refit.predict(steps).values.tobytes()
+                    == updated.predict(steps).values.tobytes())
+            assert (refit.get_fitted_params()["level"]
+                    == updated.get_fitted_params()["level"])
+
+
 class TestPolynomialTrend:
     def test_degree_zero_is_mean(self):
         f = PolynomialTrendForecaster(degree=0).fit((1.0, 2.0, 3.0))

@@ -21,6 +21,7 @@ from ufcast.m4.published import (
 )
 from ufcast.m4.registry import WINDOW_GRID, build_model, default_window_length
 from ufcast.m4.reports import render_cd_svg, stats_report
+from ufcast.m4 import runner
 from ufcast.m4.runner import RunManifest, dumps_17g, read_results, run
 from ufcast.regress import KNNRegressor
 from tests.conftest import seasonal_series, write_m4_csv
@@ -147,9 +148,6 @@ class TestRegistry:
         assert isinstance(model, TransformedTargetForecaster)
         names = [name for name, _ in model.steps]
         assert names == ["detrend", "standardize", "forecast"]
-        boosted = build_model("KNN-Theta-bc", sp=24, horizon=48,
-                              boost_deseasonalize=True)
-        assert [n for n, _ in boosted.steps][0] == "deseasonalize"
 
     def test_every_registry_name_constructible(self):
         external = {"RF": lambda: KNNRegressor(2),
@@ -249,6 +247,15 @@ class TestRunner:
         naive_h7 = [r for r in records if r.model == "Naive"
                     and r.series_id == "H7"]
         assert len(naive_h7) == 1
+
+    def test_failed_run_clears_external_regressors(self, tmp_path):
+        manifest = RunManifest(
+            datasets=["hourly"], models=["RF"], train_dir=str(tmp_path),
+            test_dir=str(tmp_path), out_path=str(tmp_path / "r.jsonl"),
+        )
+        with pytest.raises(FileNotFoundError):
+            run(manifest, external_regressors={"RF": lambda: KNNRegressor(2)})
+        assert runner._EXTERNAL_REGRESSORS is None
 
     def test_seventeen_digit_serialisation(self):
         line = dumps_17g({"x": 1.0 / 3.0, "n": 3, "s": "a", "b": True,

@@ -9,18 +9,53 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given  # noqa: E402
+from hypothesis import assume, example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ufcast.forecasters import (  # noqa: E402
     _holt_sse_grid,
     _holt_sse_scalar,
     _ses_sse_grid,
+    _ses_sse_scalar,
+    _smoothing_path,
 )
 
 
 def _bits(values):
     return ["nan" if v != v else float(v).hex() for v in np.ravel(values)]
+
+
+def _bits_any_zero(values):
+    """_bits with +0.0 and -0.0 counted as the same value."""
+    return _bits([0.0 if v == 0 else v for v in np.ravel(values)])
+
+
+def _reference_ses_levels(values, alpha, l0):
+    """The level recursion SES and Theta ran before the shared path kernel;
+    levels[t] is the level after consuming values[t]."""
+    levels = np.empty(values.size, dtype=float)
+    level = l0
+    for t, x in enumerate(values):
+        level += alpha * (x - level)
+        levels[t] = level
+    return levels
+
+
+def _reference_holt_path(values, a, b, p, level, trend):
+    """The fitted/level/trend recursion Holt ran before the shared path
+    kernel."""
+    fitted = np.empty(values.size)
+    levels = np.empty(values.size)
+    trends = np.empty(values.size)
+    for t, x in enumerate(values):
+        pred = level + p * trend
+        fitted[t] = pred
+        prev_level = level
+        level = pred + a * (x - pred)
+        trend = b * (level - prev_level) + (1 - b) * p * trend
+        levels[t] = level
+        trends[t] = trend
+    return fitted, levels, trends
 
 
 def _reference_holt_sse(values, alphas, betas, phis, l0, b0):
@@ -96,3 +131,33 @@ def test_ses_grid_is_holt_without_trend(values, alphas, l0):
     holt = _holt_sse_grid(values, alphas, np.zeros_like(alphas),
                           np.ones_like(alphas), l0, 0.0)
     assert _bits(ses) == _bits(holt)
+
+
+@given(st.lists(moderate, min_size=1, max_size=40), unit, moderate)
+@example([-0.0, 0.0, -0.0], 0.5, -0.0)
+def test_path_is_the_ses_level_recursion(values, alpha, l0):
+    """SES through the path kernel (beta=0, phi=1, zero trend) reproduces
+    the level recursion; only the sign of a zero may differ."""
+    fitted, level, trend, sse = _smoothing_path(values, alpha, 0.0, 1.0, l0,
+                                                0.0)
+    levels = _reference_ses_levels(np.array(values), alpha, l0)
+    assume(np.all(np.isfinite(levels)))
+    assert _bits_any_zero(fitted) == _bits_any_zero(
+        np.concatenate([[l0], levels[:-1]]))
+    assert _bits_any_zero([level]) == _bits_any_zero(levels[-1:])
+    assert trend == 0.0
+    assert _bits([sse]) == _bits([_ses_sse_scalar(values, alpha, l0)])
+
+
+@given(st.lists(moderate, min_size=1, max_size=40), unit, unit, damping,
+       moderate, moderate)
+def test_path_is_the_holt_recursion(values, alpha, beta, phi, l0, b0):
+    fitted, level, trend, sse = _smoothing_path(values, alpha, beta, phi, l0,
+                                                b0)
+    ref_fitted, ref_levels, ref_trends = _reference_holt_path(
+        np.array(values), alpha, beta, phi, l0, b0)
+    assume(np.isfinite(sse))
+    assert _bits(fitted) == _bits(ref_fitted)
+    assert _bits([level, trend]) == _bits([ref_levels[-1], ref_trends[-1]])
+    assert _bits([sse]) == _bits(
+        [_holt_sse_scalar(values, alpha, beta, phi, l0, b0)])
