@@ -72,35 +72,23 @@ class ReducedRegressionForecaster(BaseForecaster):
     def _required_length(self, y):
         return self.window_length + 1
 
-    def _fit(self, y, fh):
+    def _fit(self, y):
         table = tabularize(y, self.window_length)
         self.regressor.fit(table.X, table.targets)
         self.n_windows_ = table.targets.size
 
-    def _predict_at_positions(self, positions):
-        positions = np.asarray(positions)
-        out = np.empty(positions.size, dtype=float)
-        oos = positions > self._y.end_index
-        if np.any(oos):
-            steps = positions[oos] - self._y.end_index
-            out[oos] = self._recursive(int(steps.max()))[steps - 1]
-        if np.any(~oos):
-            out[~oos] = self._insample(positions[~oos])
-        return out
-
-    def _recursive(self, n_steps: int) -> np.ndarray:
+    def _predict_ahead(self, steps):
         w = self.window_length
         window = self._y.values[-w:].astype(float).copy()
-        preds = np.empty(n_steps)
-        for k in range(n_steps):
+        preds = np.empty(int(steps.max()))
+        for k in range(preds.size):
             preds[k] = float(self.regressor.predict(window[None, :])[0])
             window[:-1] = window[1:]
             window[-1] = preds[k]
-        return preds
+        return preds[steps - 1]
 
-    def _insample(self, positions) -> np.ndarray:
+    def _predict_in_sample(self, rel):
         w = self.window_length
-        rel = positions - self._y.start_index
         if np.any(rel < w):
             raise UnsupportedInSampleError(
                 f"first {w} in-sample positions have no full window"
@@ -167,12 +155,12 @@ class TransformedTargetForecaster(BaseForecaster):
     def _final(self):
         return self.steps[-1][1]
 
-    def _fit(self, y, fh):
+    def _fit(self, y):
         current = y
         for _, transformer in self._transformers:
             transformer.fit(current)
             current = transformer.transform(current)
-        self._final.fit(current, fh=fh)
+        self._final.fit(current)
 
     def _predict_at_positions(self, positions):
         values = self._final._predict_at_positions(positions)
@@ -185,16 +173,6 @@ class TransformedTargetForecaster(BaseForecaster):
         for _, transformer in self._transformers:
             current = transformer.transform(current)
         self._final.update(current, update_params=False)
-
-    def _get_fitted_params(self):
-        out = {}
-        for name, step in self.steps:
-            getter = getattr(step, "get_fitted_params", None)
-            if getter is None:
-                continue
-            for key, value in getter().items():
-                out[f"{name}.{key}"] = value
-        return out
 
 
 class EnsembleForecaster(BaseForecaster):
@@ -214,9 +192,9 @@ class EnsembleForecaster(BaseForecaster):
     def _children(self):
         return dict(self.forecasters)
 
-    def _fit(self, y, fh):
+    def _fit(self, y):
         for _, forecaster in self.forecasters:
-            forecaster.fit(y, fh=fh)
+            forecaster.fit(y)
 
     def _predict_at_positions(self, positions):
         stacked = np.stack([
@@ -227,10 +205,3 @@ class EnsembleForecaster(BaseForecaster):
     def _update_state(self, y_new):
         for _, forecaster in self.forecasters:
             forecaster.update(y_new, update_params=False)
-
-    def _get_fitted_params(self):
-        out = {}
-        for name, forecaster in self.forecasters:
-            for key, value in forecaster.get_fitted_params().items():
-                out[f"{name}.{key}"] = value
-        return out

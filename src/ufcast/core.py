@@ -23,6 +23,7 @@ from .exceptions import (
     NotFittedError,
     SeriesTooShortError,
     UnknownParameterError,
+    UnsupportedInSampleError,
 )
 
 __all__ = [
@@ -116,7 +117,8 @@ class ForecastingHorizon:
     """Strictly increasing nonzero integer steps relative to the cutoff.
 
     Positive steps are out-of-sample, negative steps in-sample.  Step 0 (the
-    cutoff itself) is not part of the public contract.
+    cutoff itself) is not part of the public contract.  Integral floats
+    (``2.0``) are accepted; other floats raise ``ValueError``.
     """
 
     __slots__ = ("steps",)
@@ -124,7 +126,11 @@ class ForecastingHorizon:
     def __init__(self, steps):
         if np.isscalar(steps):
             steps = [steps]
-        arr = np.asarray(list(steps), dtype=int)
+        raw = np.asarray(list(steps))
+        if raw.dtype.kind == "f" and not np.all(
+                np.isfinite(raw) & (np.trunc(raw) == raw)):
+            raise ValueError(f"horizon steps must be integers, got {raw.tolist()}")
+        arr = raw.astype(int)
         if arr.size == 0:
             raise ValueError("forecasting horizon needs at least one step")
         if np.any(arr == 0):
@@ -277,9 +283,12 @@ def _clone_value(value):
 class BaseForecaster(BaseEstimator):
     """Uniform forecaster contract.
 
-    Subclasses implement ``_fit`` and ``_predict_at_positions`` plus, for the
-    cheap update path, ``_update_state``.  The base class owns cutoff
-    tracking, the training buffer, validation, and horizon resolution.
+    Subclasses implement ``_fit`` and the two prediction hooks that
+    ``_predict_at_positions`` calls: ``_predict_ahead(steps)`` for steps
+    ``h >= 1`` past the cutoff and ``_predict_in_sample(rel)`` for offsets
+    from the training start.  ``_update_state`` is the cheap update path.
+    The base class owns cutoff tracking, the training buffer, validation,
+    horizon resolution and the in-sample / ahead split.
     """
 
     _min_length = 1
@@ -290,7 +299,6 @@ class BaseForecaster(BaseEstimator):
     def _reset(self):
         self._is_fitted = False
         self._y: TimeSeries | None = None
-        self._fh_at_fit: ForecastingHorizon | None = None
 
     # -- state ---------------------------------------------------------
 
@@ -322,24 +330,25 @@ class BaseForecaster(BaseEstimator):
             Training data (raw sequences are anchored at position 0, sp 1
             unless the forecaster carries its own sp).
         fh : optional
-            Forecasting horizon, for models that fit horizon-specific
-            parameters.  Stored but ignored by models that do not.
+            Forecasting horizon.  Validated, then unused: no model fits
+            horizon-specific parameters.
         """
         self._reset()
         y = self._coerce_y(y)
         needed = self._required_length(y)
         if len(y) < needed:
             raise SeriesTooShortError(needed, len(y), type(self).__name__)
-        self._fh_at_fit = as_horizon(fh) if fh is not None else None
+        if fh is not None:
+            as_horizon(fh)
         self._y = y
-        self._fit(y, self._fh_at_fit)
+        self._fit(y)
         self._is_fitted = True
         return self
 
     def _coerce_y(self, y) -> TimeSeries:
         return as_series(y, sp=getattr(self, "sp", None) or 1)
 
-    def _fit(self, y: TimeSeries, fh: ForecastingHorizon | None):
+    def _fit(self, y: TimeSeries):
         raise NotImplementedError
 
     # -- prediction ----------------------------------------------------
@@ -356,9 +365,32 @@ class BaseForecaster(BaseEstimator):
         """Predictions at absolute positions (may include the cutoff).
 
         Internal surface used by the public ``predict``, the detrender and
-        pipelines; implementations raise UnsupportedInSampleError for
-        undefined in-sample positions.
+        pipelines.  Positions past the cutoff go to ``_predict_ahead`` as
+        steps ``h >= 1``, the others to ``_predict_in_sample`` as offsets
+        from the training start.  A position before the training start
+        raises UnsupportedInSampleError, as do hooks for in-sample offsets
+        they do not define.
         """
+        positions = np.asarray(positions)
+        y = self._y
+        out = np.empty(positions.size, dtype=float)
+        ahead = positions > y.end_index
+        if np.any(ahead):
+            out[ahead] = self._predict_ahead(positions[ahead] - y.end_index)
+        if not np.all(ahead):
+            rel = positions[~ahead] - y.start_index
+            if np.any(rel < 0):
+                raise UnsupportedInSampleError(
+                    "position precedes the training series")
+            out[~ahead] = self._predict_in_sample(rel)
+        return out
+
+    def _predict_ahead(self, steps: np.ndarray) -> np.ndarray:
+        """Forecasts ``steps`` (integers >= 1) past the cutoff."""
+        raise NotImplementedError
+
+    def _predict_in_sample(self, rel: np.ndarray) -> np.ndarray:
+        """Predictions at offsets ``rel`` (>= 0) from the training start."""
         raise NotImplementedError
 
     # -- updating ------------------------------------------------------
@@ -376,8 +408,7 @@ class BaseForecaster(BaseEstimator):
             return self
         combined = self._y.concat(y_new)  # raises NonContiguousUpdateError
         if update_params:
-            fh = self._fh_at_fit
-            self.fit(combined, fh=fh)
+            self.fit(combined)
         else:
             self._y = combined
             self._update_state(y_new)
@@ -437,4 +468,10 @@ class BaseForecaster(BaseEstimator):
         return self._get_fitted_params()
 
     def _get_fitted_params(self) -> dict:
-        return {}
+        """Fitted parameters of the forecaster children, by dotted name."""
+        out = {}
+        for name, child in self._children().items():
+            if isinstance(child, BaseForecaster):
+                for key, value in child.get_fitted_params().items():
+                    out[f"{name}.{key}"] = value
+        return out

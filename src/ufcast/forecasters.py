@@ -13,12 +13,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize
 
-from .core import BaseForecaster, ForecastingHorizon, TimeSeries
-from .exceptions import (
-    OptimizerFailedError,
-    SeriesTooShortError,
-    UnsupportedInSampleError,
-)
+from .core import BaseForecaster, TimeSeries
+from .exceptions import OptimizerFailedError, UnsupportedInSampleError
 
 __all__ = [
     "NaiveForecaster",
@@ -59,30 +55,25 @@ class NaiveForecaster(BaseForecaster):
     def _required_length(self, y: TimeSeries) -> int:
         return self._effective_sp(y) if self.strategy == "seasonal_last" else 1
 
-    def _fit(self, y, fh):
-        self._sp_ = self._effective_sp(y)
+    def _fit(self, y):
+        self._lag_ = self._effective_sp(y) if self.strategy == "seasonal_last" else 1
 
-    def _predict_at_positions(self, positions):
-        y = self._y
-        lag = self._sp_ if self.strategy == "seasonal_last" else 1
-        out = np.empty(positions.size, dtype=float)
-        for i, pos in enumerate(positions):
-            if pos > y.end_index:
-                h = pos - y.end_index
-                # repeat the final lag-length block of observations
-                rel = len(y) - lag + (h - 1) % lag
-            else:
-                rel = pos - lag - y.start_index
-                if rel < 0:
-                    raise UnsupportedInSampleError(
-                        f"no observation {lag} steps before position {pos}"
-                    )
-            out[i] = y.values[rel]
-        return out
+    def _predict_ahead(self, steps):
+        # repeat the final lag-length block of observations
+        lag = self._lag_
+        return self._y.values[len(self._y) - lag + (steps - 1) % lag]
+
+    def _predict_in_sample(self, rel):
+        lag = self._lag_
+        if np.any(rel < lag):
+            raise UnsupportedInSampleError(
+                f"the first {lag} positions have no observation {lag} steps before"
+            )
+        return self._y.values[rel - lag]
 
     def _get_fitted_params(self):
         if self.strategy == "seasonal_last":
-            return {"last_season": self._y.values[-self._sp_:].copy()}
+            return {"last_season": self._y.values[-self._lag_:].copy()}
         return {"last": float(self._y.values[-1])}
 
 
@@ -200,7 +191,39 @@ def _smoothing_path(values, alpha, beta, phi, level, trend):
     return np.array(fitted), level, trend, sse
 
 
-class SESForecaster(BaseForecaster):
+class _SmoothingForecaster(BaseForecaster):
+    """State shared by SES, Holt/Damped and Theta.
+
+    ``_start_path`` runs :func:`_smoothing_path` over the training values
+    and keeps its coefficients, the one-step fitted values of every
+    observation seen (the in-sample predictions) and the level and trend
+    after the last.  ``_update_state`` continues the recursion over new
+    data from those states, on the values ``_path_values`` derives.
+    """
+
+    def _start_path(self, values, alpha, beta, phi, level, trend) -> float:
+        """Run the recursion over ``values`` from the initial states;
+        returns the one-step SSE."""
+        self._coefficients = (alpha, beta, phi)
+        self._fitted, self._level, self._trend, sse = _smoothing_path(
+            values.tolist(), alpha, beta, phi, level, trend)
+        return sse
+
+    def _path_values(self, y: TimeSeries) -> np.ndarray:
+        """The values the recursion runs on over ``y``."""
+        return y.values
+
+    def _update_state(self, y_new):
+        fitted, self._level, self._trend, _ = _smoothing_path(
+            self._path_values(y_new).tolist(), *self._coefficients,
+            self._level, self._trend)
+        self._fitted = np.concatenate([self._fitted, fitted])
+
+    def _predict_in_sample(self, rel):
+        return self._fitted[rel]
+
+
+class SESForecaster(_SmoothingForecaster):
     """Simple exponential smoothing with flat extrapolation.
 
     ``alpha=None`` (default) estimates the smoothing coefficient and the
@@ -215,28 +238,21 @@ class SESForecaster(BaseForecaster):
     def _required_length(self, y):
         return 2 if self.alpha is None else 1
 
-    def _fit(self, y, fh):
+    def _fit(self, y):
         values = y.values
         if self.alpha is None:
             self.alpha_, self.initial_level_, sse = _ses_fit(values)
         else:
             self.alpha_, self.initial_level_, sse = (
                 float(self.alpha), float(values[0]), None)
-        self._fitted, self._level, self._trend, path_sse = _smoothing_path(
-            values.tolist(), self.alpha_, 0.0, 1.0, self.initial_level_, 0.0)
+        path_sse = self._start_path(
+            values, self.alpha_, 0.0, 1.0, self.initial_level_, 0.0)
         self.sse_ = path_sse if sse is None else sse
 
-    def _predict_at_positions(self, positions):
-        return _smoothing_insample_mix(
-            positions, self._y, lambda h: np.full(h.size, self._level),
-            lambda rel: self._fitted[rel],
-        )
-
-    def _update_state(self, y_new):
-        fitted, self._level, self._trend, _ = _smoothing_path(
-            y_new.values.tolist(), self.alpha_, 0.0, 1.0,
-            self._level, self._trend)
-        self._fitted = np.concatenate([self._fitted, fitted])
+    def _predict_ahead(self, steps):
+        # not Holt's level + h * trend: with a zero trend that can turn a
+        # -0.0 level into +0.0
+        return np.full(steps.size, self._level)
 
     def _get_fitted_params(self):
         return {
@@ -245,21 +261,6 @@ class SESForecaster(BaseForecaster):
             "level": self._level,
             "sse": self.sse_,
         }
-
-
-def _smoothing_insample_mix(positions, y, out_of_sample, in_sample):
-    """Dispatch absolute positions to out-of-sample / in-sample code paths."""
-    positions = np.asarray(positions)
-    out = np.empty(positions.size, dtype=float)
-    oos = positions > y.end_index
-    if np.any(oos):
-        out[oos] = out_of_sample(positions[oos] - y.end_index)
-    if np.any(~oos):
-        rel = positions[~oos] - y.start_index
-        if np.any(rel < 0):
-            raise UnsupportedInSampleError("position precedes the training series")
-        out[~oos] = in_sample(rel)
-    return out
 
 
 # Candidates per pass of the grid kernel: small enough that the dozen
@@ -349,7 +350,7 @@ def _holt_sse_scalar(values, alpha, beta, phi, l0, b0):
     return sse
 
 
-class HoltForecaster(BaseForecaster):
+class HoltForecaster(_SmoothingForecaster):
     """Additive level-and-trend smoothing, optionally with damping.
 
     Forecasts are ``level + h * trend`` (Holt) or
@@ -375,7 +376,7 @@ class HoltForecaster(BaseForecaster):
         self.phi = phi
         super().__init__()
 
-    def _fit(self, y, fh):
+    def _fit(self, y):
         values = y.values
         l0 = float(values[0])
         b0 = float((values[-1] - values[0]) / (len(values) - 1))
@@ -389,8 +390,8 @@ class HoltForecaster(BaseForecaster):
             params = (*given, l0, b0, None)
         (self.alpha_, self.beta_, self.phi_, self.initial_level_,
          self.initial_trend_, sse) = params
-        self._fitted, self._level, self._trend, path_sse = _smoothing_path(
-            values.tolist(), self.alpha_, self.beta_, self.phi_,
+        path_sse = self._start_path(
+            values, self.alpha_, self.beta_, self.phi_,
             self.initial_level_, self.initial_trend_)
         self.sse_ = path_sse if sse is None else sse
 
@@ -435,25 +436,12 @@ class HoltForecaster(BaseForecaster):
         p = float(np.clip(p, 1e-6, 1.0))
         return a, b, p, float(x[-2]), float(x[-1]), best_sse
 
-    def _predict_at_positions(self, positions):
-        level, trend = self._level, self._trend
-
-        def oos(h):
-            if self.damped:
-                # cumulative phi + phi^2 + ... + phi^h
-                damp = np.cumsum(self.phi_ ** np.arange(1, h.max() + 1))
-                return level + damp[h - 1] * trend
-            return level + h * trend
-
-        return _smoothing_insample_mix(
-            positions, self._y, oos, lambda rel: self._fitted[rel]
-        )
-
-    def _update_state(self, y_new):
-        fitted, self._level, self._trend, _ = _smoothing_path(
-            y_new.values.tolist(), self.alpha_, self.beta_, self.phi_,
-            self._level, self._trend)
-        self._fitted = np.concatenate([self._fitted, fitted])
+    def _predict_ahead(self, steps):
+        if self.damped:
+            # cumulative phi + phi^2 + ... + phi^h
+            damp = np.cumsum(self.phi_ ** np.arange(1, steps.max() + 1))
+            return self._level + damp[steps - 1] * self._trend
+        return self._level + steps * self._trend
 
     def _get_fitted_params(self):
         out = {
@@ -474,7 +462,7 @@ class HoltForecaster(BaseForecaster):
 # theta
 # ---------------------------------------------------------------------------
 
-class ThetaForecaster(BaseForecaster):
+class ThetaForecaster(_SmoothingForecaster):
     """Two-line theta method with equal combination weights.
 
     The zero-curvature line is the least-squares linear trend; the
@@ -490,36 +478,29 @@ class ThetaForecaster(BaseForecaster):
     def __init__(self):
         super().__init__()
 
-    def _fit(self, y, fh):
+    def _fit(self, y):
         values = y.values
         t = np.arange(values.size, dtype=float)
         design = np.column_stack([np.ones_like(t), t])
         coef, *_ = np.linalg.lstsq(design, values, rcond=None)
         self.intercept_, self.slope_ = float(coef[0]), float(coef[1])
-        line2 = 2.0 * values - (self.intercept_ + self.slope_ * t)
+        line2 = self._path_values(y)
         self.alpha_, self.initial_level_, self.sse_ = _ses_fit(line2)
-        self._fitted, self._level, self._trend, _ = _smoothing_path(
-            line2.tolist(), self.alpha_, 0.0, 1.0, self.initial_level_, 0.0)
+        self._start_path(line2, self.alpha_, 0.0, 1.0, self.initial_level_, 0.0)
 
     def _line_at(self, rel):
         return self.intercept_ + self.slope_ * rel
 
-    def _predict_at_positions(self, positions):
-        def oos(h):
-            rel = (self._y.end_index - self._y.start_index) + h
-            return 0.5 * self._line_at(rel) + 0.5 * self._level
+    def _path_values(self, y):
+        """The double-curvature line ``2y - line`` over ``y``."""
+        return 2.0 * y.values - self._line_at(y.positions - self._y.start_index)
 
-        def insample(rel):
-            return 0.5 * self._line_at(rel) + 0.5 * self._fitted[rel]
+    def _predict_ahead(self, steps):
+        rel = (len(self._y) - 1) + steps
+        return 0.5 * self._line_at(rel) + 0.5 * self._level
 
-        return _smoothing_insample_mix(positions, self._y, oos, insample)
-
-    def _update_state(self, y_new):
-        rel = y_new.positions - self._y.start_index
-        line2 = 2.0 * y_new.values - self._line_at(rel)
-        fitted, self._level, self._trend, _ = _smoothing_path(
-            line2.tolist(), self.alpha_, 0.0, 1.0, self._level, self._trend)
-        self._fitted = np.concatenate([self._fitted, fitted])
+    def _predict_in_sample(self, rel):
+        return 0.5 * self._line_at(rel) + 0.5 * self._fitted[rel]
 
     def _get_fitted_params(self):
         return {
@@ -550,16 +531,16 @@ class PolynomialTrendForecaster(BaseForecaster):
     def _required_length(self, y):
         return self.degree + 1
 
-    def _fit(self, y, fh):
+    def _fit(self, y):
         t = np.arange(len(y), dtype=float)
         design = np.vander(t, self.degree + 1, increasing=True)
         coef, *_ = np.linalg.lstsq(design, y.values, rcond=None)
         self.coef_ = coef
 
-    def _predict_at_positions(self, positions):
-        rel = np.asarray(positions) - self._y.start_index
-        if np.any(rel < 0):
-            raise UnsupportedInSampleError("position precedes the training series")
+    def _predict_ahead(self, steps):
+        return self._predict_in_sample((len(self._y) - 1) + steps)
+
+    def _predict_in_sample(self, rel):
         powers = np.vander(rel.astype(float), self.degree + 1, increasing=True)
         return powers @ self.coef_
 

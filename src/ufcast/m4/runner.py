@@ -122,9 +122,12 @@ def _evaluate_one(task: tuple) -> dict:
 
 
 def _run_tasks(tasks, jobs: int):
-    if jobs <= 1:
+    # a fork-based pool starts every worker up front, so never ask for more
+    # than there are tasks
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [_evaluate_one(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_evaluate_one, tasks, chunksize=16))
 
 

@@ -67,27 +67,11 @@ class SlidingWindowSplitter:
     def split(self, y):
         """Yield (train_positions, test_positions) pairs, 0-based in y."""
         n = self._length(y)
-        steps = self.fh.steps
-        if self.mode == "single":
-            end = n - int(steps[-1])
-            if end >= 1:
-                yield np.arange(0, end), end - 1 + steps
-            return
-        for start, end in self._window_bounds(n):
-            test = end - 1 + steps
+        for window in self.train_windows(n):
+            test = window.stop - 1 + self.fh.steps
             if test[-1] > n - 1:
                 return
-            yield np.arange(start, end), test
-
-    def _window_bounds(self, n: int):
-        k = 0
-        while True:
-            end = self.window_length + k * self.step_length
-            if end > n:
-                return
-            start = 0 if self.mode == "expanding" else end - self.window_length
-            yield start, end
-            k += 1
+            yield np.arange(window.start, window.stop), test
 
     def train_windows(self, n: int):
         """Train windows only, unbounded on the validation side.
@@ -101,8 +85,11 @@ class SlidingWindowSplitter:
             if end >= 1:
                 yield range(0, end)
             return
-        for start, end in self._window_bounds(n):
+        end = self.window_length
+        while end <= n:
+            start = 0 if self.mode == "expanding" else end - self.window_length
             yield range(start, end)
+            end += self.step_length
 
 
 class ForecastingGridSearch(BaseForecaster):
@@ -135,7 +122,7 @@ class ForecastingGridSearch(BaseForecaster):
         for combo in itertools.product(*(self.param_grid[n] for n in names)):
             yield dict(zip(names, combo))
 
-    def _fit(self, y, fh):
+    def _fit(self, y):
         scoring = self.scoring if self.scoring is not None else smape
         splits = list(self.cv.split(y))
         report = []
@@ -160,7 +147,7 @@ class ForecastingGridSearch(BaseForecaster):
         self.best_score_ = float(best_score)
         self.best_forecaster_ = self.forecaster.clone()
         self.best_forecaster_.set_params(**best_params)
-        self.best_forecaster_.fit(y, fh=fh)
+        self.best_forecaster_.fit(y)
 
     def _evaluate(self, candidate, y, splits, scoring):
         if not splits:

@@ -8,15 +8,17 @@ from ufcast.exceptions import (
     NotFittedError,
     SeriesTooShortError,
     UnknownParameterError,
+    UnsupportedInSampleError,
 )
 from ufcast.forecasters import (
     HoltForecaster,
     NaiveForecaster,
     PolynomialTrendForecaster,
     SESForecaster,
+    ThetaForecaster,
 )
 from ufcast.compose import ReducedRegressionForecaster
-from ufcast.regress import KNNRegressor
+from ufcast.regress import KNNRegressor, LinearRegressor
 from ufcast.select import SlidingWindowSplitter
 from tests.conftest import seasonal_series
 
@@ -79,6 +81,20 @@ class TestForecastingHorizon:
     def test_scalar_coercion(self):
         assert list(as_horizon(4)) == [4]
 
+    @pytest.mark.parametrize("bad", [[1.5, 2.7], [1, 2.5], [np.nan], [np.inf]])
+    def test_non_integral_steps_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ForecastingHorizon(bad)
+
+    def test_integral_floats_accepted(self):
+        assert ForecastingHorizon([1.0, 2.0]) == ForecastingHorizon([1, 2])
+        assert list(as_horizon(np.float64(3.0))) == [3]
+
+    def test_predict_rejects_non_integral_step(self):
+        f = NaiveForecaster("last").fit((2, 5, 9))
+        with pytest.raises(ValueError):
+            f.predict([1.5])
+
 
 class TestForecastType:
     def test_length_must_match(self):
@@ -111,6 +127,14 @@ class TestFit:
         f.fit((4, 5))
         assert f.predict(1).values[0] == 5.0
         assert f.cutoff == 1
+
+    def test_fit_validates_unused_horizon(self):
+        y = (1.0, 2.0, 3.0)
+        fitted = SESForecaster(alpha=0.5).fit(y, fh=[1, 2])
+        plain = SESForecaster(alpha=0.5).fit(y)
+        assert fitted.get_fitted_params() == plain.get_fitted_params()
+        with pytest.raises(ValueError):
+            SESForecaster(alpha=0.5).fit(y, fh=[0, 1])
 
     def test_fit_idempotent(self):
         y = seasonal_series(60, sp=1, seed=4)
@@ -156,6 +180,39 @@ class TestPredict:
         a = f.predict([1, 2, 3]).values
         b = f.predict([1, 2, 3]).values
         assert np.array_equal(a, b)
+
+
+LEAF_FORECASTERS = {
+    "naive_last": lambda: NaiveForecaster("last"),
+    "naive_seasonal": lambda: NaiveForecaster("seasonal_last", sp=4),
+    "ses": lambda: SESForecaster(),
+    "holt": lambda: HoltForecaster(),
+    "damped": lambda: HoltForecaster(damped=True),
+    "theta": lambda: ThetaForecaster(),
+    "polynomial": lambda: PolynomialTrendForecaster(degree=2),
+    "reduced_lr": lambda: ReducedRegressionForecaster(LinearRegressor(), 3),
+}
+
+
+class TestInSampleAheadSplit:
+    """The base class splits a horizon into in-sample offsets and ahead
+    steps; every leaf forecaster answers each half the same way alone."""
+
+    @pytest.mark.parametrize("make", LEAF_FORECASTERS.values(),
+                             ids=LEAF_FORECASTERS.keys())
+    def test_mixed_horizon_equals_its_halves(self, make):
+        f = make().fit(seasonal_series(40, sp=4, seed=11, start_index=7))
+        mixed = f.predict([-3, -1, 1, 4]).values
+        halves = np.concatenate([f.predict([-3, -1]).values,
+                                 f.predict([1, 4]).values])
+        assert np.array_equal(mixed, halves)
+
+    @pytest.mark.parametrize("make", LEAF_FORECASTERS.values(),
+                             ids=LEAF_FORECASTERS.keys())
+    def test_position_before_training_start_rejected(self, make):
+        f = make().fit(seasonal_series(40, sp=4, seed=11, start_index=7))
+        with pytest.raises(UnsupportedInSampleError):
+            f.predict([-40, 1])
 
 
 class TestUpdate:

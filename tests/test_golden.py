@@ -17,6 +17,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from ufcast.m4.cli import _DEFAULT_MODELS
 from ufcast.m4.runner import RunManifest, run
 from tests.conftest import seasonal_series, write_m4_csv
@@ -48,7 +50,7 @@ def _write_inputs(root: Path) -> None:
         write_m4_csv(root / f"{stem}-test.csv", test_rows)
 
 
-def golden_output(workdir: Path) -> str:
+def golden_output(workdir: Path, jobs: int = 1) -> str:
     """Run the golden manifest in ``workdir``; results text sans runtimes."""
     _write_inputs(workdir)
     out = workdir / "results.jsonl"
@@ -56,12 +58,15 @@ def golden_output(workdir: Path) -> str:
         datasets=["yearly", "quarterly"],
         models=_DEFAULT_MODELS.split(","),
         train_dir=str(workdir), test_dir=str(workdir), out_path=str(out),
+        jobs=jobs,
     ))
     return _RUNTIME_FIELD.sub("", out.read_text(encoding="utf-8"))
 
 
-def test_run_matches_golden_bytes(tmp_path):
-    assert golden_output(tmp_path) == GOLDEN.read_text(encoding="utf-8")
+# jobs=2 byte-checks the process-pool path against the same file
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_matches_golden_bytes(tmp_path, jobs):
+    assert golden_output(tmp_path, jobs) == GOLDEN.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

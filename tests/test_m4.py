@@ -257,6 +257,35 @@ class TestRunner:
             run(manifest, external_regressors={"RF": lambda: KNNRegressor(2)})
         assert runner._EXTERNAL_REGRESSORS is None
 
+    @pytest.mark.parametrize("jobs, n_tasks, pool_workers", [
+        (8, 3, 3), (2, 5, 2), (8, 1, None), (1, 4, None),
+    ])
+    def test_pool_never_exceeds_task_count(self, monkeypatch, jobs, n_tasks,
+                                           pool_workers):
+        # a fork pool starts all max_workers at once; record the request
+        # instead of starting any process
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(runner, "_evaluate_one", lambda task: task)
+        tasks = list(range(n_tasks))
+        assert runner._run_tasks(tasks, jobs) == tasks
+        assert created == ([] if pool_workers is None else [pool_workers])
+
     def test_seventeen_digit_serialisation(self):
         line = dumps_17g({"x": 1.0 / 3.0, "n": 3, "s": "a", "b": True,
                           "none": None, "arr": [0.1]})
