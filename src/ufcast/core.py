@@ -148,10 +148,6 @@ class ForecastingHorizon:
     def to_absolute(self, cutoff: int) -> np.ndarray:
         return cutoff + self.steps
 
-    @property
-    def max_step(self) -> int:
-        return int(self.steps[-1])
-
     def __len__(self) -> int:
         return self.steps.size
 
@@ -262,7 +258,17 @@ class BaseEstimator:
         return type(self)(**kwargs)
 
     def _reset(self):
-        """Drop fitted state; overridden by estimators that hold any."""
+        """Drop fitted state; extended by estimators that hold more than
+        the fitted flag."""
+        self._is_fitted = False
+
+    @property
+    def is_fitted(self) -> bool:
+        return getattr(self, "_is_fitted", False)
+
+    def _check_fitted(self):
+        if not self.is_fitted:
+            raise NotFittedError(f"{type(self).__name__} is not fitted")
 
     def __repr__(self) -> str:
         params = ", ".join(
@@ -297,24 +303,16 @@ class BaseForecaster(BaseEstimator):
         self._reset()
 
     def _reset(self):
-        self._is_fitted = False
+        super()._reset()
         self._y: TimeSeries | None = None
 
     # -- state ---------------------------------------------------------
-
-    @property
-    def is_fitted(self) -> bool:
-        return getattr(self, "_is_fitted", False)
 
     @property
     def cutoff(self) -> int:
         """Absolute index of the last observation seen; requires fit."""
         self._check_fitted()
         return self._y.end_index
-
-    def _check_fitted(self):
-        if not self.is_fitted:
-            raise NotFittedError(f"{type(self).__name__} is not fitted")
 
     def _required_length(self, y: TimeSeries) -> int:
         return self._min_length

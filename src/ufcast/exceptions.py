@@ -6,6 +6,7 @@ Every error raised on a documented failure path derives from
 """
 
 __all__ = [
+    "FIT_ERRORS",
     "UfcastError",
     "SeriesTooShortError",
     "NonFiniteInputError",
@@ -139,3 +140,9 @@ class MissingTestSeriesError(UfcastError):
 
 class MissingReferenceError(UfcastError):
     """No published reference value for a requested (model, dataset, metric)."""
+
+
+# What one fit-and-forecast on bad data may raise: the package's own errors
+# and numpy/scipy's numeric ones (numpy's LinAlgError is a ValueError).  The
+# runner turns these into error rows and grid search into failed candidates.
+FIT_ERRORS = (UfcastError, ValueError, ArithmeticError)

@@ -81,34 +81,23 @@ class NaiveForecaster(BaseForecaster):
 # exponential smoothing machinery
 # ---------------------------------------------------------------------------
 
-def _ses_sse_grid(values, alphas, l0s):
-    """One-step SSE of the level recursion, vectorised over candidates."""
-    level = np.broadcast_to(l0s, alphas.shape).astype(float).copy()
-    sse = np.zeros_like(level)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x in values:
-            e = x - level
-            sse += e * e
-            level += alphas * e
-    return sse, level
-
-
-# SES keeps its own kernels rather than running the Holt ones with beta=0,
-# phi=1, b0=0.  That substitution is bit-identical for finite inputs (the
-# property tests pin it), but it costs about 2.3x per call at n=800 on a
-# 2-vCPU Xeon (Python 3.11, numpy 2.4): the 50-candidate alpha grid takes
-# 7.2 ms through _holt_sse_grid against 3.2 ms through _ses_sse_grid, and one
-# scalar SSE 0.60 ms against 0.26 ms.  The scalar refine in _ses_fit is the
-# hot path of Theta's SES (4.1 s of Nelder-Mead over 168 fits on the
-# benchmark's reduction workload) and of the harness workload (160k
-# evaluations), so merging would slow both.  For the same reason neither
-# optimiser runs the path kernel, _smoothing_path, which also records the
-# fitted values: on the same machine it takes 16.5 us per call at n=40 and
-# 275 us at n=700, against 12.1 and 202 us for _holt_sse_scalar and 4.9 and
-# 75 us for _ses_sse_scalar.
+# SES keeps its own SSE kernel rather than running _holt_sse_scalar with
+# beta=0, phi=1, b0=0: that is bit-identical for finite inputs (the property
+# tests pin it) but costs 0.60 ms against 0.26 ms per SSE at n=800 on a
+# 2-vCPU Xeon (Python 3.11, numpy 2.4), and this kernel is the hot path of
+# Theta's SES (4.1 s of Nelder-Mead over 168 fits on the benchmark's
+# reduction workload) and of the harness workload (160k evaluations).
+# Neither optimiser runs _smoothing_path, which also records the fitted
+# values: 16.5 and 275 us per call at n=40 and 700, against 12.1 and 202 us
+# for _holt_sse_scalar and 4.9 and 75 us here.  SES's 50-alpha grid runs
+# this kernel once per alpha: that takes 1.1-1.3x the time of a vectorised
+# grid kernel at n 13-900 (medians of interleaved runs), but the grid is
+# 5-14 % of an SES fit, so a second copy of the recursion saves at most
+# about 4 % of one.
 
 def _ses_sse_scalar(values, alpha, l0):
-    """Scalar twin of the grid recursion (Python floats: optimiser-hot path)."""
+    """One-step SSE of the level recursion ``level += alpha * (x - level)``
+    over ``values`` (a list of floats)."""
     level = l0
     sse = 0.0
     for x in values:
@@ -136,21 +125,29 @@ def _refine(objective, x0, seed_sse, options=None):
     return np.asarray(x0, dtype=float), float(seed_sse)
 
 
+def _grid_best(sse, what):
+    """Index and value of the smallest finite SSE on a ``what`` grid."""
+    sse = np.asarray(sse, dtype=float)
+    finite = np.isfinite(sse)
+    if not np.any(finite):
+        raise OptimizerFailedError(f"no finite SSE on the {what} grid")
+    best = int(np.argmin(np.where(finite, sse, np.inf)))
+    return best, float(sse[best])
+
+
 def _ses_fit(values):
-    """Fit level smoothing; returns (alpha, l0, sse).
+    """Fit level smoothing; returns ``(alpha, 0.0, 1.0, l0, 0.0, sse)``,
+    the smoothing template's coefficients and states with no trend.
 
     A grid over alpha (initial level fixed at the first observation) seeds
     Nelder-Mead over (alpha, l0), with the level coordinate scaled to the
     data so tolerances bite on both axes.
     """
     y0 = float(values[0])
-    sse_grid, _ = _ses_sse_grid(values, _SMOOTHING_GRID, y0)
-    sse_grid = np.where(np.isfinite(sse_grid), sse_grid, np.inf)
-    if not np.any(np.isfinite(sse_grid)):
-        raise OptimizerFailedError("no finite SSE on the alpha grid")
-    best = int(np.argmin(sse_grid))
-
     data = values.tolist()
+    grid = _SMOOTHING_GRID.tolist()
+    best, seed_sse = _grid_best(
+        [_ses_sse_scalar(data, a, y0) for a in grid], "alpha")
     scale = max(1.0, abs(float(np.mean(values))))
 
     def objective(x):
@@ -160,9 +157,8 @@ def _ses_fit(values):
         s = _ses_sse_scalar(data, a, l0_scaled * scale)
         return s if np.isfinite(s) else np.inf
 
-    x, sse = _refine(objective, [_SMOOTHING_GRID[best], y0 / scale],
-                     float(sse_grid[best]))
-    return float(np.clip(x[0], 0.0, 1.0)), float(x[1] * scale), sse
+    x, sse = _refine(objective, [grid[best], y0 / scale], seed_sse)
+    return float(np.clip(x[0], 0.0, 1.0)), 0.0, 1.0, float(x[1] * scale), 0.0, sse
 
 
 def _smoothing_path(values, alpha, beta, phi, level, trend):
@@ -192,22 +188,33 @@ def _smoothing_path(values, alpha, beta, phi, level, trend):
 
 
 class _SmoothingForecaster(BaseForecaster):
-    """State shared by SES, Holt/Damped and Theta.
+    """The one fit and state shared by SES, Holt/Damped and Theta.
 
-    ``_start_path`` runs :func:`_smoothing_path` over the training values
-    and keeps its coefficients, the one-step fitted values of every
-    observation seen (the in-sample predictions) and the level and trend
-    after the last.  ``_update_state`` continues the recursion over new
-    data from those states, on the values ``_path_values`` derives.
+    ``_fit`` takes the coefficients and initial states from the model's
+    ``_estimate`` hook, run on the values ``_path_values`` derives from the
+    training series, and runs :func:`_smoothing_path` over them once.  It
+    keeps ``alpha_``, ``beta_``, ``phi_``, ``initial_level_``,
+    ``initial_trend_`` and ``sse_`` (the estimator's SSE, or the path's when
+    nothing was estimated), the one-step fitted values of every observation
+    seen (the in-sample predictions) and the level and trend after the
+    last.  ``_update_state`` continues the recursion over new data from
+    those states.
     """
 
-    def _start_path(self, values, alpha, beta, phi, level, trend) -> float:
-        """Run the recursion over ``values`` from the initial states;
-        returns the one-step SSE."""
-        self._coefficients = (alpha, beta, phi)
-        self._fitted, self._level, self._trend, sse = _smoothing_path(
-            values.tolist(), alpha, beta, phi, level, trend)
-        return sse
+    def _fit(self, y):
+        values = self._path_values(y)
+        (self.alpha_, self.beta_, self.phi_, self.initial_level_,
+         self.initial_trend_, sse) = self._estimate(values)
+        self._fitted, self._level, self._trend, path_sse = _smoothing_path(
+            values.tolist(), self.alpha_, self.beta_, self.phi_,
+            self.initial_level_, self.initial_trend_)
+        self.sse_ = path_sse if sse is None else sse
+
+    def _estimate(self, values: np.ndarray) -> tuple:
+        """``(alpha, beta, phi, initial level, initial trend, sse)`` for the
+        recursion over ``values``; ``sse`` is None when nothing was
+        estimated."""
+        raise NotImplementedError
 
     def _path_values(self, y: TimeSeries) -> np.ndarray:
         """The values the recursion runs on over ``y``."""
@@ -215,8 +222,8 @@ class _SmoothingForecaster(BaseForecaster):
 
     def _update_state(self, y_new):
         fitted, self._level, self._trend, _ = _smoothing_path(
-            self._path_values(y_new).tolist(), *self._coefficients,
-            self._level, self._trend)
+            self._path_values(y_new).tolist(), self.alpha_, self.beta_,
+            self.phi_, self._level, self._trend)
         self._fitted = np.concatenate([self._fitted, fitted])
 
     def _predict_in_sample(self, rel):
@@ -238,16 +245,10 @@ class SESForecaster(_SmoothingForecaster):
     def _required_length(self, y):
         return 2 if self.alpha is None else 1
 
-    def _fit(self, y):
-        values = y.values
+    def _estimate(self, values):
         if self.alpha is None:
-            self.alpha_, self.initial_level_, sse = _ses_fit(values)
-        else:
-            self.alpha_, self.initial_level_, sse = (
-                float(self.alpha), float(values[0]), None)
-        path_sse = self._start_path(
-            values, self.alpha_, 0.0, 1.0, self.initial_level_, 0.0)
-        self.sse_ = path_sse if sse is None else sse
+            return _ses_fit(values)
+        return float(self.alpha), 0.0, 1.0, float(values[0]), 0.0, None
 
     def _predict_ahead(self, steps):
         # not Holt's level + h * trend: with a zero trend that can turn a
@@ -358,7 +359,7 @@ class HoltForecaster(_SmoothingForecaster):
     are estimated by SSE minimisation together with the initial states;
     given ones stay fixed.  With every coefficient given nothing is
     estimated: the initial level is the first observation and the initial
-    trend the mean slope.
+    trend the mean slope.  ``phi`` needs ``damped=True``.
     """
 
     _min_length = 3
@@ -370,14 +371,15 @@ class HoltForecaster(_SmoothingForecaster):
         beta: float | None = None,
         phi: float | None = None,
     ):
+        if phi is not None and not damped:
+            raise ValueError("phi is only used with damped=True")
         self.damped = damped
         self.alpha = alpha
         self.beta = beta
         self.phi = phi
         super().__init__()
 
-    def _fit(self, y):
-        values = y.values
+    def _estimate(self, values):
         l0 = float(values[0])
         b0 = float((values[-1] - values[0]) / (len(values) - 1))
         phi = self.phi if self.damped else 1.0
@@ -385,15 +387,8 @@ class HoltForecaster(_SmoothingForecaster):
         given = tuple(None if c is None else float(c)
                       for c in (self.alpha, self.beta, phi))
         if None in given:
-            params = self._optimize(values, l0, b0, given)
-        else:
-            params = (*given, l0, b0, None)
-        (self.alpha_, self.beta_, self.phi_, self.initial_level_,
-         self.initial_trend_, sse) = params
-        path_sse = self._start_path(
-            values, self.alpha_, self.beta_, self.phi_,
-            self.initial_level_, self.initial_trend_)
-        self.sse_ = path_sse if sse is None else sse
+            return self._optimize(values, l0, b0, given)
+        return (*given, l0, b0, None)
 
     def _optimize(self, values, l0, b0, given):
         """Grid over the free coefficients (a given one takes its single
@@ -401,11 +396,8 @@ class HoltForecaster(_SmoothingForecaster):
         states."""
         axes = [_SMOOTHING_GRID if c is None else np.array([c]) for c in given]
         aa, bb, pp = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
-        sse = _holt_sse_grid(values, aa, bb, pp, l0, b0)
-        sse = np.where(np.isfinite(sse), sse, np.inf)
-        if not np.any(np.isfinite(sse)):
-            raise OptimizerFailedError("no finite SSE on the coefficient grid")
-        best = int(np.argmin(sse))
+        best, seed_sse = _grid_best(
+            _holt_sse_grid(values, aa, bb, pp, l0, b0), "coefficient")
 
         seed = [float(aa[best]), float(bb[best]), float(pp[best])]
         free = [i for i, c in enumerate(given) if c is None]
@@ -427,7 +419,7 @@ class HoltForecaster(_SmoothingForecaster):
 
         x0 = [seed[i] for i in free] + [l0, b0]
         x, best_sse = _refine(
-            objective, x0, float(sse[best]),
+            objective, x0, seed_sse,
             options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 4000},
         )
         a, b, p = coefficients(x)
@@ -479,14 +471,13 @@ class ThetaForecaster(_SmoothingForecaster):
         super().__init__()
 
     def _fit(self, y):
-        values = y.values
-        t = np.arange(values.size, dtype=float)
+        t = np.arange(len(y), dtype=float)
         design = np.column_stack([np.ones_like(t), t])
-        coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+        coef, *_ = np.linalg.lstsq(design, y.values, rcond=None)
         self.intercept_, self.slope_ = float(coef[0]), float(coef[1])
-        line2 = self._path_values(y)
-        self.alpha_, self.initial_level_, self.sse_ = _ses_fit(line2)
-        self._start_path(line2, self.alpha_, 0.0, 1.0, self.initial_level_, 0.0)
+        super()._fit(y)
+
+    _estimate = staticmethod(_ses_fit)
 
     def _line_at(self, rel):
         return self.intercept_ + self.slope_ * rel

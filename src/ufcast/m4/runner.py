@@ -23,7 +23,7 @@ import numpy as np
 
 from ..core import ForecastingHorizon, TimeSeries
 from ..evaluation import EvalRecord, mase, mean_ranks, owa, rank_models, smape
-from ..exceptions import UfcastError
+from ..exceptions import FIT_ERRORS
 from .datasets import DATASETS, load_m4, natural_key, resolve_paths
 from .registry import build_model
 
@@ -109,8 +109,7 @@ def _evaluate_one(task: tuple) -> dict:
                          denominator=mase_denominator),
             "runtime_s": runtime,
         }
-    except (UfcastError, ValueError, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+    except FIT_ERRORS as exc:
         return {
             "type": "error",
             "dataset": dataset,

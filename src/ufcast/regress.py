@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import BaseEstimator
-from .exceptions import DimensionMismatchError, KTooLargeError, NotFittedError
+from .exceptions import DimensionMismatchError, KTooLargeError
 
 __all__ = ["LinearRegressor", "KNNRegressor"]
 
@@ -30,6 +30,7 @@ class LinearRegressor(BaseEstimator):
         self.fit_intercept = fit_intercept
 
     def fit(self, X, y) -> "LinearRegressor":
+        self._reset()
         X = _as_matrix(X)
         y = np.asarray(y, dtype=float).reshape(-1)
         if X.shape[0] != y.size:
@@ -47,11 +48,11 @@ class LinearRegressor(BaseEstimator):
             self.coef_ = coef
             self.intercept_ = 0.0
         self._n_features = X.shape[1]
+        self._is_fitted = True
         return self
 
     def predict(self, X) -> np.ndarray:
-        if not hasattr(self, "coef_"):
-            raise NotFittedError("LinearRegressor is not fitted")
+        self._check_fitted()
         X = _as_matrix(X)
         if X.shape[1] != self._n_features:
             raise DimensionMismatchError(
@@ -73,6 +74,7 @@ class KNNRegressor(BaseEstimator):
         self.k = k
 
     def fit(self, X, y) -> "KNNRegressor":
+        self._reset()
         X = _as_matrix(X)
         y = np.asarray(y, dtype=float).reshape(-1)
         if X.shape[0] != y.size:
@@ -83,11 +85,11 @@ class KNNRegressor(BaseEstimator):
             raise KTooLargeError(f"k={self.k} but only {X.shape[0]} rows")
         self._X = X
         self._y = y
+        self._is_fitted = True
         return self
 
     def predict(self, X) -> np.ndarray:
-        if not hasattr(self, "_X"):
-            raise NotFittedError("KNNRegressor is not fitted")
+        self._check_fitted()
         X = _as_matrix(X)
         if X.shape[1] != self._X.shape[1]:
             raise DimensionMismatchError(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import BaseForecaster, TimeSeries, as_horizon, as_series
 from .evaluation import smape
-from .exceptions import AllCandidatesFailedError, UfcastError
+from .exceptions import FIT_ERRORS, AllCandidatesFailedError
 
 __all__ = ["SlidingWindowSplitter", "ForecastingGridSearch"]
 
@@ -159,8 +159,7 @@ class ForecastingGridSearch(BaseForecaster):
                 candidate.fit(y.islice(int(train_pos[0]), int(train_pos[-1] + 1)))
                 forecast = candidate.predict(self.cv.fh)
                 value = float(scoring(y.values[test_pos], forecast.values))
-            except (UfcastError, ValueError, ArithmeticError,
-                    np.linalg.LinAlgError):
+            except FIT_ERRORS:
                 n_errors += 1
                 return np.inf, n_errors
             scores.append(value)

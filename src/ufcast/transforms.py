@@ -17,7 +17,6 @@ from scipy import optimize
 from .core import BaseEstimator, TimeSeries, as_series
 from .exceptions import (
     NonPositiveValuesError,
-    NotFittedError,
     SeriesTooShortError,
 )
 
@@ -121,13 +120,6 @@ class BaseTransformer(BaseEstimator):
 
     def __init__(self):
         self._reset()
-
-    def _reset(self):
-        self._is_fitted = False
-
-    def _check_fitted(self):
-        if not self._is_fitted:
-            raise NotFittedError(f"{type(self).__name__} is not fitted")
 
     def fit(self, y) -> "BaseTransformer":
         self._reset()

@@ -12,7 +12,7 @@ from ufcast.forecasters import (
     _SMOOTHING_GRID,
     _holt_sse_grid,
     _holt_sse_scalar,
-    _ses_sse_grid,
+    _ses_sse_scalar,
 )
 from tests.conftest import seasonal_series
 
@@ -66,9 +66,10 @@ class TestSES:
             f = SESForecaster().fit(y)
             params = f.get_fitted_params()
             assert 0.0 <= params["alpha"] <= 1.0
-            grid_sse, _ = _ses_sse_grid(y.values, _SMOOTHING_GRID,
-                                        float(y.values[0]))
-            assert params["sse"] <= grid_sse.min() + 1e-9
+            data = y.values.tolist()
+            grid_sse = min(_ses_sse_scalar(data, a, data[0])
+                           for a in _SMOOTHING_GRID.tolist())
+            assert params["sse"] <= grid_sse + 1e-9
 
     def test_noop_update_invariance(self):
         f = SESForecaster().fit(seasonal_series(50, sp=1, seed=9))
@@ -136,6 +137,12 @@ class TestHolt:
         assert p["sse"] <= _holt_sse_grid(values, aa, bb, pp, values[0],
                                           b0).min()
 
+    def test_phi_without_damping_rejected(self):
+        # an undamped model would ignore phi: its forecast is plain Holt's
+        with pytest.raises(ValueError, match="damped"):
+            HoltForecaster(phi=0.9)
+        assert HoltForecaster(damped=True, phi=0.9).phi == 0.9
+
     def test_constant_series_flat(self):
         f = HoltForecaster().fit(np.full(30, 4.0))
         params = f.get_fitted_params()
@@ -165,6 +172,22 @@ class TestHolt:
         before = f.predict([1, 2]).values
         f.update(())
         np.testing.assert_array_equal(f.predict([1, 2]).values, before)
+
+
+@pytest.mark.parametrize("forecaster, keys", [
+    (SESForecaster(), {"alpha", "initial_level", "level", "sse"}),
+    (SESForecaster(alpha=0.3), {"alpha", "initial_level", "level", "sse"}),
+    (HoltForecaster(), {"alpha", "beta", "initial_level", "initial_trend",
+                        "level", "trend", "sse"}),
+    (HoltForecaster(damped=True), {"alpha", "beta", "phi", "initial_level",
+                                   "initial_trend", "level", "trend", "sse"}),
+    (ThetaForecaster(), {"slope", "intercept", "alpha", "level"}),
+], ids=["ses", "ses-fixed", "holt", "damped", "theta"])
+def test_smoothing_fitted_param_keys(forecaster, keys):
+    """The shared smoothing fit sets beta_, phi_ and initial_trend_ on every
+    model; each model still reports only its own documented keys."""
+    y = seasonal_series(40, sp=1, slope=0.3, noise=0.05, seed=31)
+    assert set(forecaster.fit(y).get_fitted_params()) == keys
 
 
 class TestTheta:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from ufcast.exceptions import DimensionMismatchError, KTooLargeError
+from ufcast.exceptions import (
+    DimensionMismatchError,
+    KTooLargeError,
+    NotFittedError,
+)
 from ufcast.regress import KNNRegressor, LinearRegressor
 
 
@@ -101,3 +105,28 @@ class TestKNNRegressor:
         a = KNNRegressor(k=3).fit(X, y).predict(q)
         b = KNNRegressor(k=3).fit(X, y).predict(q)
         assert np.array_equal(a, b)
+
+
+class TestFittedState:
+    def test_predict_requires_fit(self):
+        for r in (LinearRegressor(), KNNRegressor(k=1)):
+            with pytest.raises(NotFittedError):
+                r.predict([[0.0]])
+
+    def test_set_params_drops_fit(self):
+        # a fit with k=10 on 3 rows would raise KTooLargeError, so the old
+        # k=1 fit must not answer for it
+        X, y = np.eye(3), np.array([1.0, 2.0, 3.0])
+        knn = KNNRegressor(k=1).fit(X, y).set_params(k=10)
+        lr = LinearRegressor().fit(X, y).set_params(fit_intercept=False)
+        for r in (knn, lr):
+            assert r.is_fitted is False
+            with pytest.raises(NotFittedError):
+                r.predict(X)
+
+    def test_failed_refit_drops_old_fit(self):
+        knn = KNNRegressor(k=2).fit(np.eye(3), np.ones(3))
+        with pytest.raises(KTooLargeError):
+            knn.fit(np.eye(1), np.ones(1))
+        with pytest.raises(NotFittedError):
+            knn.predict([[0.0, 0.0, 0.0]])

@@ -15,7 +15,6 @@ from hypothesis import strategies as st  # noqa: E402
 from ufcast.forecasters import (  # noqa: E402
     _holt_sse_grid,
     _holt_sse_scalar,
-    _ses_sse_grid,
     _ses_sse_scalar,
     _smoothing_path,
 )
@@ -125,9 +124,10 @@ def test_inplace_grid_matches_reference_on_damped_grid():
        st.lists(unit, min_size=1, max_size=12), moderate)
 def test_ses_grid_is_holt_without_trend(values, alphas, l0):
     """SES is Holt with beta=0, phi=1 and a zero initial trend, bit for bit
-    on finite inputs; the kernels stay separate only for speed."""
-    values, alphas = np.array(values), np.array(alphas)
-    ses, _ = _ses_sse_grid(values, alphas, l0)
+    on finite inputs, alpha by alpha as SES's grid runs it; the kernels stay
+    separate only for speed."""
+    ses = [_ses_sse_scalar(values, a, l0) for a in alphas]
+    alphas = np.array(alphas)
     holt = _holt_sse_grid(values, alphas, np.zeros_like(alphas),
                           np.ones_like(alphas), l0, 0.0)
     assert _bits(ses) == _bits(holt)
