@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import BaseForecaster, TimeSeries, as_series
+from .core import BaseForecaster, as_series
 from .exceptions import SeriesTooShortError, UnsupportedInSampleError
 
 __all__ = [
@@ -126,6 +126,8 @@ class TransformedTargetForecaster(BaseForecaster):
     transform) before fitting the final forecaster; predictions run the
     inverse transformations in reverse order at the forecast positions.
     Transformers other than position-aware ones never see the horizon.
+    Grid search uses the same two folds to fit the transformer prefix once
+    per split when every tuned parameter belongs to the final step.
 
     Steps may be given as estimators or (name, estimator) pairs; names are
     the path components for nested parameter access, e.g.
@@ -133,44 +135,57 @@ class TransformedTargetForecaster(BaseForecaster):
     """
 
     def __init__(self, steps):
-        if not steps:
+        self.steps = steps
+        super().__init__()
+
+    def _validate(self):
+        if not self.steps:
             raise ValueError("pipeline needs at least one step")
-        self.steps = _named_steps(steps, "step")
+        self.steps = _named_steps(self.steps, "step")
         name, final = self.steps[-1]
         if not hasattr(final, "predict"):
             raise ValueError(f"final step {name!r} is not a forecaster")
         for name, step in self.steps[:-1]:
             if not hasattr(step, "transform_at"):
                 raise ValueError(f"step {name!r} is not a transformer")
-        super().__init__()
 
     def _children(self):
         return dict(self.steps)
 
     @property
     def _transformers(self):
-        return self.steps[:-1]
+        return [transformer for _, transformer in self.steps[:-1]]
 
     @property
     def _final(self):
         return self.steps[-1][1]
 
-    def _fit(self, y):
-        current = y
-        for _, transformer in self._transformers:
-            transformer.fit(current)
-            current = transformer.transform(current)
-        self._final.fit(current)
+    @staticmethod
+    def _fit_transform_through(transformers, y):
+        """Fit each transformer on the output of the one before it and
+        return the last output (``y`` itself for no transformers)."""
+        for transformer in transformers:
+            transformer.fit(y)
+            y = transformer.transform(y)
+        return y
 
-    def _predict_at_positions(self, positions):
-        values = self._final._predict_at_positions(positions)
-        for _, transformer in reversed(self._transformers):
+    @staticmethod
+    def _inverse_through(transformers, values, positions):
+        """Undo fitted ``transformers`` at ``positions``, last one first."""
+        for transformer in reversed(transformers):
             values = transformer.inverse_at(values, positions)
         return values
 
+    def _fit(self, y):
+        self._final.fit(self._fit_transform_through(self._transformers, y))
+
+    def _predict_at_positions(self, positions):
+        values = self._final._predict_at_positions(positions)
+        return self._inverse_through(self._transformers, values, positions)
+
     def _update_state(self, y_new):
         current = y_new
-        for _, transformer in self._transformers:
+        for transformer in self._transformers:
             current = transformer.transform(current)
         self._final.update(current, update_params=False)
 
@@ -184,10 +199,13 @@ class EnsembleForecaster(BaseForecaster):
     """
 
     def __init__(self, forecasters):
-        if not forecasters:
-            raise ValueError("ensemble needs at least one component")
-        self.forecasters = _named_steps(forecasters, "component")
+        self.forecasters = forecasters
         super().__init__()
+
+    def _validate(self):
+        if not self.forecasters:
+            raise ValueError("ensemble needs at least one component")
+        self.forecasters = _named_steps(self.forecasters, "component")
 
     def _children(self):
         return dict(self.forecasters)

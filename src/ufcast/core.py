@@ -201,8 +201,20 @@ class BaseEstimator:
     Hyper-parameters are exactly the constructor arguments, stored under the
     same attribute names.  Nested estimators are addressed with dotted paths
     (``"regressor.k"``); composites expose their children via
-    :meth:`_children`.
+    :meth:`_children`.  Subclass constructors store their arguments, then
+    call ``super().__init__()``, which checks them with :meth:`_validate`.
     """
+
+    def __init__(self):
+        self._validate()
+        self._reset()
+
+    def _validate(self):
+        """Check (and normalise) the hyper-parameters; raises ValueError.
+
+        Runs at construction and after every :meth:`set_params`, so no
+        combination the constructor rejects can be reached either way.
+        """
 
     @classmethod
     def _param_names(cls):
@@ -228,8 +240,8 @@ class BaseEstimator:
     def set_params(self, **params) -> "BaseEstimator":
         """Set hyper-parameters (dotted paths reach nested estimators).
 
-        Resets fitted state.  Raises :class:`UnknownParameterError` for
-        undeclared names.
+        Resets fitted state and re-runs :meth:`_validate`.  Raises
+        :class:`UnknownParameterError` for undeclared names.
         """
         own = set(self._param_names())
         children = self._children()
@@ -248,6 +260,7 @@ class BaseEstimator:
                     f"{type(self).__name__} has no parameter {head!r}"
                 )
         self._reset()
+        self._validate()
         return self
 
     def clone(self) -> "BaseEstimator":
@@ -298,9 +311,6 @@ class BaseForecaster(BaseEstimator):
     """
 
     _min_length = 1
-
-    def __init__(self):
-        self._reset()
 
     def _reset(self):
         super()._reset()

@@ -43,11 +43,13 @@ class NaiveForecaster(BaseForecaster):
     """
 
     def __init__(self, strategy: str = "last", sp: int | None = None):
-        if strategy not in ("last", "seasonal_last"):
-            raise ValueError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
         self.sp = sp
         super().__init__()
+
+    def _validate(self):
+        if self.strategy not in ("last", "seasonal_last"):
+            raise ValueError(f"unknown strategy {self.strategy!r}")
 
     def _effective_sp(self, y: TimeSeries) -> int:
         return self.sp if self.sp is not None else y.sp
@@ -371,13 +373,15 @@ class HoltForecaster(_SmoothingForecaster):
         beta: float | None = None,
         phi: float | None = None,
     ):
-        if phi is not None and not damped:
-            raise ValueError("phi is only used with damped=True")
         self.damped = damped
         self.alpha = alpha
         self.beta = beta
         self.phi = phi
         super().__init__()
+
+    def _validate(self):
+        if self.phi is not None and not self.damped:
+            raise ValueError("phi is only used with damped=True")
 
     def _estimate(self, values):
         l0 = float(values[0])
@@ -514,10 +518,12 @@ class PolynomialTrendForecaster(BaseForecaster):
     """
 
     def __init__(self, degree: int = 1):
-        if degree < 0 or int(degree) != degree:
-            raise ValueError("degree must be a nonnegative integer")
         self.degree = degree
         super().__init__()
+
+    def _validate(self):
+        if self.degree < 0 or int(self.degree) != self.degree:
+            raise ValueError("degree must be a nonnegative integer")
 
     def _required_length(self, y):
         return self.degree + 1

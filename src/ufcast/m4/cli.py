@@ -9,7 +9,6 @@ results and can render a critical-difference diagram as SVG.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 

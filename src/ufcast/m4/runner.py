@@ -17,7 +17,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

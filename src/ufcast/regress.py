@@ -28,6 +28,7 @@ class LinearRegressor(BaseEstimator):
 
     def __init__(self, fit_intercept: bool = True):
         self.fit_intercept = fit_intercept
+        super().__init__()
 
     def fit(self, X, y) -> "LinearRegressor":
         self._reset()
@@ -69,9 +70,12 @@ class KNNRegressor(BaseEstimator):
     """
 
     def __init__(self, k: int = 1):
-        if k < 1 or int(k) != k:
-            raise ValueError("k must be a positive integer")
         self.k = k
+        super().__init__()
+
+    def _validate(self):
+        if self.k < 1 or int(self.k) != self.k:
+            raise ValueError("k must be a positive integer")
 
     def fit(self, X, y) -> "KNNRegressor":
         self._reset()

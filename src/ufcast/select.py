@@ -5,6 +5,9 @@ series too short for a single split yields an empty iterator rather than
 an error.  Grid search scores every candidate over the splits (default
 scoring: symmetric MAPE, lower is better), picks the minimum with ties
 broken by enumeration order, and refits the winner on the full series.
+When every grid key targets the final step of a
+:class:`TransformedTargetForecaster`, the transformer prefix is fitted once
+per split and shared by all candidates.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import itertools
 
 import numpy as np
 
-from .core import BaseForecaster, TimeSeries, as_horizon, as_series
+from .compose import TransformedTargetForecaster
+from .core import BaseForecaster, Forecast, TimeSeries, as_horizon, as_series
 from .evaluation import smape
 from .exceptions import FIT_ERRORS, AllCandidatesFailedError
 
@@ -103,16 +107,28 @@ class ForecastingGridSearch(BaseForecaster):
     last key varying fastest).  A failing candidate scores infinity; only
     all candidates failing is an error.  The winner is refitted on the
     full series.
+
+    When the prototype is a :class:`TransformedTargetForecaster` and every
+    grid key targets its final step (``"forecast.window_length"``), the
+    transformers cannot depend on the candidate: they are fitted and
+    applied once per split, only each candidate's final step is fitted on
+    the transformed window, and its forecast is inverted through that
+    split's transformers.  Scores, report and refit are those of fitting
+    every candidate pipeline whole; a transformer failing on a split fails
+    every candidate.
     """
 
     def __init__(self, forecaster, param_grid: dict, cv, scoring=None):
-        if not param_grid or any(len(v) == 0 for v in param_grid.values()):
-            raise ValueError("param_grid must map names to non-empty lists")
         self.forecaster = forecaster
         self.param_grid = param_grid
         self.cv = cv
         self.scoring = scoring
         super().__init__()
+
+    def _validate(self):
+        if not self.param_grid or any(
+                len(v) == 0 for v in self.param_grid.values()):
+            raise ValueError("param_grid must map names to non-empty lists")
 
     def _children(self):
         return {"forecaster": self.forecaster}
@@ -122,16 +138,33 @@ class ForecastingGridSearch(BaseForecaster):
         for combo in itertools.product(*(self.param_grid[n] for n in names)):
             yield dict(zip(names, combo))
 
+    def _shared_prefix(self):
+        """The prototype's transformers that no grid key reaches.
+
+        When the prototype is a pipeline and every key targets its final
+        step, its transformers do not depend on the candidate, so clones
+        of them are fitted once per split for all candidates.  Otherwise
+        nothing is shared and each candidate is fitted whole.
+        """
+        proto = self.forecaster
+        if not isinstance(proto, TransformedTargetForecaster):
+            return []
+        final = proto.steps[-1][0] + "."
+        if not all(key.startswith(final) for key in self.param_grid):
+            return []
+        return proto._transformers
+
     def _fit(self, y):
-        scoring = self.scoring if self.scoring is not None else smape
-        splits = list(self.cv.split(y))
-        report = []
-        best_score = np.inf
-        best_params = None
+        candidates = []
         for params in self._candidates():
             candidate = self.forecaster.clone()
             candidate.set_params(**params)  # UnknownParameterError propagates
-            score, n_errors = self._evaluate(candidate, y, splits, scoring)
+            candidates.append(candidate)
+        report = []
+        best_score = np.inf
+        best_params = None
+        for params, (score, n_errors) in zip(
+                self._candidates(), self._evaluate(candidates, y)):
             report.append(
                 {"params": dict(params), "mean_score": score, "n_errors": n_errors}
             )
@@ -149,22 +182,49 @@ class ForecastingGridSearch(BaseForecaster):
         self.best_forecaster_.set_params(**best_params)
         self.best_forecaster_.fit(y)
 
-    def _evaluate(self, candidate, y, splits, scoring):
-        if not splits:
-            return np.inf, 0
-        scores = []
-        n_errors = 0
-        for train_pos, test_pos in splits:
+    def _evaluate(self, candidates, y):
+        """(mean score, n_errors) of each candidate over the cv splits.
+
+        Each split fits the shared prefix once, then each candidate's
+        remaining part on the transformed training window; its forecast is
+        inverted through that split's prefix.  A candidate's first failure
+        scores it infinity and skips its later splits; a failing prefix
+        fails every candidate still standing.
+        """
+        scoring = self.scoring if self.scoring is not None else smape
+        fh = as_horizon(self.cv.fh)
+        shared = self._shared_prefix()
+        tails = [c._final if shared else c for c in candidates]
+        scores = [[] for _ in candidates]
+        failed = [False] * len(candidates)
+        for train_pos, test_pos in self.cv.split(y):
+            prefix = [transformer.clone() for transformer in shared]
             try:
-                candidate.fit(y.islice(int(train_pos[0]), int(train_pos[-1] + 1)))
-                forecast = candidate.predict(self.cv.fh)
-                value = float(scoring(y.values[test_pos], forecast.values))
+                train = TransformedTargetForecaster._fit_transform_through(
+                    prefix, y.islice(int(train_pos[0]), int(train_pos[-1] + 1)))
             except FIT_ERRORS:
-                n_errors += 1
-                return np.inf, n_errors
-            scores.append(value)
-        mean = float(np.mean(scores))
-        return (mean if np.isfinite(mean) else np.inf), n_errors
+                failed = [True] * len(candidates)
+                break
+            actual = y.values[test_pos]
+            for i, tail in enumerate(tails):
+                if failed[i]:
+                    continue
+                try:
+                    tail.fit(train)
+                    positions = fh.to_absolute(tail.cutoff)
+                    values = TransformedTargetForecaster._inverse_through(
+                        prefix, tail._predict_at_positions(positions), positions)
+                    forecast = Forecast(fh, values, cutoff=tail.cutoff)
+                    scores[i].append(float(scoring(actual, forecast.values)))
+                except FIT_ERRORS:
+                    failed[i] = True
+        out = []
+        for split_scores, error in zip(scores, failed):
+            mean = float(np.mean(split_scores)) if split_scores else np.inf
+            if error or not np.isfinite(mean):
+                mean = np.inf
+            out.append((mean, int(error)))
+        return out
 
     def _predict_at_positions(self, positions):
         return self.best_forecaster_._predict_at_positions(positions)

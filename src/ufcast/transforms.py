@@ -118,9 +118,6 @@ def classical_decompose(y, sp: int) -> SeasonalIndices:
 class BaseTransformer(BaseEstimator):
     """fit / transform / inverse-transform over values-at-positions."""
 
-    def __init__(self):
-        self._reset()
-
     def fit(self, y) -> "BaseTransformer":
         self._reset()
         self._fit(as_series(y))

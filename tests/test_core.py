@@ -17,9 +17,14 @@ from ufcast.forecasters import (
     SESForecaster,
     ThetaForecaster,
 )
-from ufcast.compose import ReducedRegressionForecaster
+from ufcast.compose import (
+    EnsembleForecaster,
+    ReducedRegressionForecaster,
+    TransformedTargetForecaster,
+)
 from ufcast.regress import KNNRegressor, LinearRegressor
-from ufcast.select import SlidingWindowSplitter
+from ufcast.select import ForecastingGridSearch, SlidingWindowSplitter
+from ufcast.transforms import Standardizer
 from tests.conftest import seasonal_series
 
 
@@ -308,6 +313,34 @@ class TestParams:
         f.set_params(alpha=0.9)
         with pytest.raises(NotFittedError):
             f.predict(1)
+
+    @pytest.mark.parametrize("make, params", [
+        (lambda: HoltForecaster(damped=True, phi=0.9), {"damped": False}),
+        (lambda: NaiveForecaster(), {"strategy": "bogus"}),
+        (lambda: KNNRegressor(k=1), {"k": 0}),
+        (lambda: PolynomialTrendForecaster(1), {"degree": 1.5}),
+        (lambda: ReducedRegressionForecaster(KNNRegressor(1), 3),
+         {"regressor.k": 0}),
+        (lambda: TransformedTargetForecaster([SESForecaster()]),
+         {"steps": [Standardizer()]}),
+        (lambda: EnsembleForecaster([SESForecaster()]), {"forecasters": []}),
+        (lambda: ForecastingGridSearch(
+            SESForecaster(), {"alpha": [0.5]}, SlidingWindowSplitter()),
+         {"param_grid": {"alpha": []}}),
+    ], ids=["holt-phi", "naive-strategy", "knn-k", "trend-degree",
+            "nested-k", "pipeline-steps", "ensemble-empty", "grid-empty"])
+    def test_set_params_runs_constructor_checks(self, make, params):
+        with pytest.raises(ValueError):
+            make().set_params(**params)
+
+    def test_set_params_checks_after_every_assignment(self):
+        f = HoltForecaster(damped=True, phi=0.9).set_params(damped=False,
+                                                             phi=None)
+        assert f.get_params() == HoltForecaster().get_params()
+        pipe = TransformedTargetForecaster([SESForecaster()])
+        pipe.set_params(steps=[Standardizer(), NaiveForecaster()])
+        assert [name for name, _ in pipe.steps] == ["standardizer",
+                                                    "naiveforecaster"]
 
 
 class TestFittedParams:

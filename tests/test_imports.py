@@ -1,0 +1,90 @@
+"""No package module imports a name it never uses.
+
+No linter ships with the test environment, so this scans each module's
+top-level imports with ``ast`` instead.  A name counts as used when the
+module reads it anywhere (string annotations included) or lists it in
+``__all__``; ``from __future__`` imports are directives, not names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted((SRC / "ufcast").rglob("*.py"))
+
+
+def _imported(tree):
+    """Top-level imported name -> line number."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _read_names(tree):
+    """Names the module reads, including those in string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _read_names(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+def _exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = _read_names(tree) | _exported(tree)
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in _imported(tree).items() if name not in used
+    )
+
+
+@pytest.mark.parametrize(
+    "module", MODULES, ids=[str(m.relative_to(SRC)) for m in MODULES])
+def test_no_unused_imports(module):
+    assert unused_imports(module.read_text()) == []
+
+
+def test_scanner_flags_only_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "from dataclasses import dataclass, field\n"
+        "from typing import Any as A\n"
+        "from .core import TimeSeries\n"
+        "__all__ = ['TimeSeries']\n"
+        "def f(x: 'A') -> None:\n"
+        "    return os.path.join(x)\n"
+        "@dataclass\n"
+        "class C:\n"
+        "    pass\n"
+    )
+    assert unused_imports(source) == ["field (line 4)", "json (line 2)"]

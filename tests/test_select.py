@@ -1,15 +1,31 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ufcast.core import TimeSeries
 from ufcast.evaluation import smape
-from ufcast.exceptions import AllCandidatesFailedError, UnknownParameterError
-from ufcast.forecasters import NaiveForecaster, SESForecaster
-from ufcast.compose import ReducedRegressionForecaster
+from ufcast.exceptions import (
+    FIT_ERRORS,
+    AllCandidatesFailedError,
+    UnknownParameterError,
+)
+from ufcast.forecasters import (
+    NaiveForecaster,
+    PolynomialTrendForecaster,
+    SESForecaster,
+)
+from ufcast.compose import ReducedRegressionForecaster, TransformedTargetForecaster
 from ufcast.regress import KNNRegressor, LinearRegressor
 from ufcast.select import ForecastingGridSearch, SlidingWindowSplitter
+from ufcast.transforms import (
+    BaseTransformer,
+    BoxCoxTransformer,
+    Deseasonalizer,
+    Detrender,
+    Standardizer,
+)
 from tests.conftest import seasonal_series
 
 
@@ -169,3 +185,97 @@ class TestGridSearch:
         grid = {"alpha": [0.2, 0.4, 0.6, 0.8]}
         gs = ForecastingGridSearch(SESForecaster(), grid, self._cv()).fit(y)
         assert [r["params"]["alpha"] for r in gs.report_] == grid["alpha"]
+
+
+def _reduction_pipeline(box_cox=False):
+    steps = [("deseasonalize", Deseasonalizer())]
+    if box_cox:
+        steps.append(("boxcox", BoxCoxTransformer()))
+    steps += [
+        ("detrend", Detrender(PolynomialTrendForecaster(1))),
+        ("standardize", Standardizer()),
+        ("forecast", ReducedRegressionForecaster(KNNRegressor(1), 3)),
+    ]
+    return TransformedTargetForecaster(steps)
+
+
+class TestGridSearchSharedPrefix:
+    """With every key on the final pipeline step, the transformers are
+    fitted once per split, and the result is that of whole-pipeline fits."""
+
+    FH = [1, 2, 3]
+    WINDOWS = {"forecast.window_length": [2, 3, 4, 6]}
+
+    def _cv(self):
+        return SlidingWindowSplitter(window_length=30, fh=self.FH,
+                                     step_length=10)
+
+    def test_transformers_fitted_once_per_split(self, monkeypatch):
+        fits = Counter()
+        fit = BaseTransformer.fit
+
+        def counting_fit(self, y):
+            fits[type(self).__name__] += 1
+            return fit(self, y)
+
+        monkeypatch.setattr(BaseTransformer, "fit", counting_fit)
+        y = seasonal_series(60, sp=6, seed=1)
+        assert len(list(self._cv().split(y))) == 3
+        proto = _reduction_pipeline()
+        ForecastingGridSearch(proto, self.WINDOWS, self._cv()).fit(y)
+        # 3 splits + the refit, not 4 candidates x 3 splits + the refit
+        assert fits == {"Deseasonalizer": 4, "Detrender": 4, "Standardizer": 4}
+        assert not any(step.is_fitted for _, step in proto.steps)
+
+    def _brute_force_report(self, grid, y):
+        report = []
+        for combo in itertools.product(*grid.values()):
+            params = dict(zip(grid, combo))
+            scores, n_errors = [], 0
+            for train_pos, test_pos in self._cv().split(y):
+                candidate = _reduction_pipeline().set_params(**params)
+                try:
+                    candidate.fit(y.islice(int(train_pos[0]),
+                                           int(train_pos[-1]) + 1))
+                    pred = candidate.predict(self.FH).values
+                except FIT_ERRORS:
+                    n_errors = 1
+                    break
+                scores.append(float(smape(y.values[test_pos], pred)))
+            mean = np.inf if n_errors else float(np.mean(scores))
+            report.append({"params": params, "mean_score": mean,
+                           "n_errors": n_errors})
+        return report
+
+    @pytest.mark.parametrize("grid", [
+        {"forecast.window_length": [2, 3, 4, 30]},  # 30 cannot fit
+        {"deseasonalize.sp": [1, 6], "forecast.window_length": [2, 4]},
+    ], ids=["final-step-keys", "transformer-key"])
+    def test_matches_whole_pipeline_fits_bitwise(self, grid):
+        for seed in range(4):
+            y = seasonal_series(60, sp=6, noise=0.1, seed=seed)
+            expected = self._brute_force_report(grid, y)
+            gs = ForecastingGridSearch(_reduction_pipeline(), grid,
+                                       self._cv()).fit(y)
+            assert gs.report_ == expected, seed
+            best = min(expected, key=lambda row: row["mean_score"])
+            assert gs.best_score_ == best["mean_score"]
+            refit = _reduction_pipeline().set_params(**best["params"]).fit(y)
+            assert np.array_equal(gs.predict(self.FH).values,
+                                  refit.predict(self.FH).values)
+
+    def test_failing_prefix_fails_every_candidate(self):
+        values = seasonal_series(60, sp=6, seed=2).values.copy()
+        values[35] = -1.0  # in the training windows of splits 2 and 3 only
+        gs = ForecastingGridSearch(_reduction_pipeline(box_cox=True),
+                                   self.WINDOWS, self._cv())
+        with pytest.raises(AllCandidatesFailedError):
+            gs.fit(TimeSeries(values, sp=6))
+        assert [(row["mean_score"], row["n_errors"]) for row in gs.report_] \
+            == [(np.inf, 1)] * 4
+
+    def test_unknown_final_step_parameter_is_fatal(self):
+        gs = ForecastingGridSearch(_reduction_pipeline(),
+                                   {"forecast.bogus": [1]}, self._cv())
+        with pytest.raises(UnknownParameterError):
+            gs.fit(seasonal_series(60, sp=6, seed=3))
