@@ -93,7 +93,7 @@ class ReducedRegressionForecaster(BaseForecaster):
             raise UnsupportedInSampleError(
                 f"first {w} in-sample positions have no full window"
             )
-        rows = np.stack([self._y.values[i - w:i] for i in rel])
+        rows = sliding_window_view(self._y.values, w)[rel - w]
         return np.asarray(self.regressor.predict(rows), dtype=float)
 
     def _get_fitted_params(self):

@@ -241,27 +241,41 @@ class BaseEstimator:
         """Set hyper-parameters (dotted paths reach nested estimators).
 
         Resets fitted state and re-runs :meth:`_validate`.  Raises
-        :class:`UnknownParameterError` for undeclared names.
+        :class:`UnknownParameterError` for undeclared names.  All or nothing:
+        on any error every hyper-parameter, nested ones too, is put back.
         """
+        saved = [(e, e.get_params(deep=False)) for e in self._estimators()]
+        self._reset()
         own = set(self._param_names())
         children = self._children()
-        for key, value in params.items():
-            head, _, rest = key.partition(".")
-            if rest:
-                if head not in children:
+        try:
+            for key, value in params.items():
+                head, _, rest = key.partition(".")
+                if rest:
+                    if head not in children:
+                        raise UnknownParameterError(
+                            f"{type(self).__name__} has no component {head!r}"
+                        )
+                    children[head].set_params(**{rest: value})
+                elif head in own:
+                    setattr(self, head, value)
+                else:
                     raise UnknownParameterError(
-                        f"{type(self).__name__} has no component {head!r}"
+                        f"{type(self).__name__} has no parameter {head!r}"
                     )
-                children[head].set_params(**{rest: value})
-            elif head in own:
-                setattr(self, head, value)
-            else:
-                raise UnknownParameterError(
-                    f"{type(self).__name__} has no parameter {head!r}"
-                )
-        self._reset()
-        self._validate()
+            self._validate()
+        except BaseException:
+            for estimator, values in saved:
+                vars(estimator).update(values)
+            raise
         return self
+
+    def _estimators(self):
+        """This estimator and every nested ``BaseEstimator``, depth first."""
+        yield self
+        for child in self._children().values():
+            if isinstance(child, BaseEstimator):
+                yield from child._estimators()
 
     def clone(self) -> "BaseEstimator":
         """Unfitted copy with identical (recursively cloned) hyper-parameters."""

@@ -66,7 +66,12 @@ class KNNRegressor(BaseEstimator):
     """Mean target of the k nearest training rows (Euclidean distance).
 
     Distance ties are broken by the lower training-row index, which makes
-    predictions deterministic.
+    predictions deterministic; for ``k == 1`` that row is the first
+    ``argmin`` of the distances.  ``fit`` refuses non-finite ``X`` or ``y``
+    with ``ValueError``: a NaN distance would be ``argmin``'s pick but the
+    stable sort's last.  ``fit`` allocates the (n, w) scratch buffer that
+    every ``predict`` writes into, so no fitted instance may be shared
+    between threads.
     """
 
     def __init__(self, k: int = 1):
@@ -87,8 +92,11 @@ class KNNRegressor(BaseEstimator):
             )
         if self.k > X.shape[0]:
             raise KTooLargeError(f"k={self.k} but only {X.shape[0]} rows")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("KNNRegressor needs finite X and y")
         self._X = X
         self._y = y
+        self._buf = np.empty_like(X)
         self._is_fitted = True
         return self
 
@@ -99,9 +107,14 @@ class KNNRegressor(BaseEstimator):
             raise DimensionMismatchError(
                 f"expected {self._X.shape[1]} features, got {X.shape[1]}"
             )
+        buf = self._buf
         out = np.empty(X.shape[0])
         for i, row in enumerate(X):
-            d2 = np.sum((self._X - row) ** 2, axis=1)
-            nearest = np.argsort(d2, kind="stable")[: self.k]
-            out[i] = self._y[nearest].mean()
+            np.subtract(self._X, row, out=buf)
+            d2 = np.multiply(buf, buf, out=buf).sum(axis=1)
+            if self.k == 1:
+                out[i] = self._y[d2.argmin()]
+            else:
+                nearest = np.argsort(d2, kind="stable")[: self.k]
+                out[i] = self._y[nearest].mean()
         return out

@@ -96,6 +96,18 @@ class TestReducedRegression:
         with pytest.raises(UnsupportedInSampleError):
             f.predict([-(len(y) - 1)])  # inside the first window
 
+    @pytest.mark.parametrize("regressor", [LinearRegressor(), KNNRegressor(2)],
+                             ids=["lr", "knn"])
+    def test_in_sample_rows_are_the_trailing_windows(self, regressor):
+        y = seasonal_series(40, sp=4, seed=4)
+        w = 5
+        f = ReducedRegressionForecaster(regressor, window_length=w).fit(y)
+        steps = np.array([-34, -20, -19, -7, -1])
+        rel = steps + len(y) - 1
+        rows = np.stack([y.values[i - w:i] for i in rel])
+        expected = regressor.predict(rows)
+        assert f.predict(steps).values.tobytes() == expected.tobytes()
+
     def test_window_too_long(self):
         with pytest.raises(SeriesTooShortError):
             ReducedRegressionForecaster(LinearRegressor(), window_length=9).fit(

@@ -330,8 +330,35 @@ class TestParams:
     ], ids=["holt-phi", "naive-strategy", "knn-k", "trend-degree",
             "nested-k", "pipeline-steps", "ensemble-empty", "grid-empty"])
     def test_set_params_runs_constructor_checks(self, make, params):
+        est = make()
+        before = est.get_params()
         with pytest.raises(ValueError):
-            make().set_params(**params)
+            est.set_params(**params)
+        assert est.get_params() == before
+
+    def test_rejected_set_params_leaves_a_usable_estimator(self):
+        X, y = np.eye(3), np.array([1.0, 2.0, 3.0])
+        knn = KNNRegressor(k=1)
+        with pytest.raises(ValueError):
+            knn.set_params(k=0)
+        assert knn.k == 1
+        assert knn.fit(X, y).predict(X[1]).tolist() == [2.0]
+
+    @pytest.mark.parametrize("params, error", [
+        ({"forecast.window_length": 6, "bogus": 1}, UnknownParameterError),
+        ({"forecast.window_length": 6, "nothere.k": 1}, UnknownParameterError),
+        ({"forecast.window_length": 6, "forecast.regressor.k": 0},
+         ValueError),
+    ], ids=["unknown-own", "unknown-component", "nested-check"])
+    def test_failed_set_params_restores_earlier_keys(self, params, error):
+        pipe = TransformedTargetForecaster([
+            Standardizer(),
+            ("forecast", ReducedRegressionForecaster(KNNRegressor(1), 3)),
+        ])
+        before = pipe.get_params()
+        with pytest.raises(error):
+            pipe.set_params(**params)
+        assert pipe.get_params() == before
 
     def test_set_params_checks_after_every_assignment(self):
         f = HoltForecaster(damped=True, phi=0.9).set_params(damped=False,

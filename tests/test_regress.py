@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,29 @@ from ufcast.exceptions import (
     NotFittedError,
 )
 from ufcast.regress import KNNRegressor, LinearRegressor
+
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+except ImportError:  # optional test dependency; the property test skips
+    given = st = None
+
+
+def _given_data(test):
+    """``@given(st.data())``, or a skip when hypothesis is missing."""
+    if given is None:
+        return pytest.mark.skip(reason="hypothesis is not installed")(test)
+    return given(st.data())(test)
+
+
+def _reference_knn(X, y, Q, k):
+    """The straight per-row loop: fresh differences, stable full sort."""
+    out = np.empty(Q.shape[0])
+    for i, row in enumerate(Q):
+        d2 = np.sum((X - row) ** 2, axis=1)
+        nearest = np.argsort(d2, kind="stable")[:k]
+        out[i] = y[nearest].mean()
+    return out
 
 
 class TestLinearRegressor:
@@ -105,6 +130,56 @@ class TestKNNRegressor:
         a = KNNRegressor(k=3).fit(X, y).predict(q)
         b = KNNRegressor(k=3).fit(X, y).predict(q)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("X, y", [
+        ([[0.0], [np.nan]], [1.0, 2.0]),
+        ([[0.0], [np.inf]], [1.0, 2.0]),
+        ([[0.0], [1.0]], [1.0, np.nan]),
+        ([[0.0], [1.0]], [-np.inf, 2.0]),
+    ], ids=["nan-x", "inf-x", "nan-y", "inf-y"])
+    def test_non_finite_training_data_rejected(self, X, y):
+        # a NaN distance would be argmin's pick but the stable sort's last
+        with pytest.raises(ValueError, match="finite"):
+            KNNRegressor(k=1).fit(X, y)
+
+    @_given_data
+    def test_predict_matches_reference_bitwise(self, data):
+        # small integers make duplicate rows and exact distance ties common;
+        # the refit on a new shape catches a stale scratch buffer
+        ints = st.integers(-3, 3)
+        reg = KNNRegressor(k=data.draw(st.sampled_from([1, 2, 3])))
+        for _ in range(2):
+            n = data.draw(st.integers(reg.k, 30))
+            w = data.draw(st.integers(1, 6))
+            X = np.array(data.draw(st.lists(ints, min_size=n * w,
+                                            max_size=n * w)),
+                         dtype=float).reshape(n, w)
+            if data.draw(st.booleans()):
+                X = np.asfortranarray(X)
+            y = np.array(data.draw(st.lists(ints, min_size=n, max_size=n)),
+                         dtype=float)
+            m = data.draw(st.integers(1, 5))
+            Q = np.array(data.draw(st.lists(st.integers(-4, 4),
+                                            min_size=m * w, max_size=m * w)),
+                         dtype=float).reshape(m, w)
+            got = reg.fit(X, y).predict(Q)
+            assert got.tobytes() == _reference_knn(X, y, Q, reg.k).tobytes()
+
+    def test_one_row_predict_allocates_no_table(self):
+        # 200 one-row calls at n=700, w=24 must peak below one (n, w) float
+        # array: the differences go to the buffer allocated at fit
+        rng = np.random.default_rng(5)
+        X, y = rng.normal(size=(700, 24)), rng.normal(size=700)
+        knn = KNNRegressor(k=1).fit(X, y)
+        rows = rng.normal(size=(200, 1, 24))
+        tracemalloc.start()
+        try:
+            for row in rows:
+                knn.predict(row)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes == 134_400
 
 
 class TestFittedState:
