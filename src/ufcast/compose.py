@@ -214,11 +214,14 @@ class EnsembleForecaster(BaseForecaster):
         for _, forecaster in self.forecasters:
             forecaster.fit(y)
 
-    def _predict_at_positions(self, positions):
-        stacked = np.stack([
-            f._predict_at_positions(positions) for _, f in self.forecasters
-        ])
+    @staticmethod
+    def _combine(forecasters, positions):
+        """Mean of fitted ``forecasters`` at ``positions``, over sorted values."""
+        stacked = np.stack([f._predict_at_positions(positions) for f in forecasters])
         return np.sort(stacked, axis=0).mean(axis=0)
+
+    def _predict_at_positions(self, positions):
+        return self._combine([f for _, f in self.forecasters], positions)
 
     def _update_state(self, y_new):
         for _, forecaster in self.forecasters:

@@ -5,7 +5,8 @@ Every in-scope recipe is assembled from the composition toolkit:
 * ``Naive`` / ``sNaive`` — plain naive forecasters.
 * ``Naive2`` — naive after conditional multiplicative seasonal adjustment.
 * ``SES`` / ``Holt`` / ``Damped`` — exponential smoothing behind the same
-  seasonal adjustment; ``Com`` is their mean ensemble.
+  seasonal adjustment; ``Com`` is their mean ensemble (:data:`ENSEMBLES`),
+  which the runner builds from the component fits it already holds.
 * ``Theta`` — seasonal adjustment + the two-line theta core;
   ``Theta-bc`` adds a likelihood-fitted power transform in between.
 * ``{reg}`` / ``{reg}-s`` — reduction to tabular regression with linear
@@ -43,7 +44,8 @@ from ..regress import KNNRegressor, LinearRegressor
 from ..select import ForecastingGridSearch, SlidingWindowSplitter
 from ..transforms import BoxCoxTransformer, Deseasonalizer, Detrender, Standardizer
 
-__all__ = ["KNOWN_MODELS", "WINDOW_GRID", "build_model", "default_window_length"]
+__all__ = ["ENSEMBLES", "KNOWN_MODELS", "WINDOW_GRID", "build_model",
+           "default_window_length"]
 
 WINDOW_GRID = [3, 4, 6, 8, 10, 12, 15, 18, 21, 24]
 
@@ -53,6 +55,9 @@ _REGRESSORS = {
 }
 _EXTERNAL_NAMES = ("RF", "XGB")
 _BOOSTABLE = ("KNN", "RF", "XGB")  # linear regression is excluded from boosting
+
+# ensemble name -> (component name, registry model) pairs
+ENSEMBLES = {"Com": (("ses", "SES"), ("holt", "Holt"), ("damped", "Damped"))}
 
 _STATISTICAL = (
     "Naive", "sNaive", "Naive2", "SES", "Holt", "Damped", "Com",
@@ -107,9 +112,6 @@ def build_model(name: str, sp: int, horizon: int, window_rule: str = "max",
     def deseas():
         return ("deseasonalize", Deseasonalizer(sp=sp))
 
-    def ses_pipeline():
-        return TransformedTargetForecaster([deseas(), ("forecast", SESForecaster())])
-
     def holt_pipeline(damped):
         return TransformedTargetForecaster(
             [deseas(), ("forecast", HoltForecaster(damped=damped))]
@@ -159,16 +161,15 @@ def build_model(name: str, sp: int, horizon: int, window_rule: str = "max",
             [deseas(), ("forecast", NaiveForecaster(strategy="last"))]
         )
     if name == "SES":
-        return ses_pipeline()
+        return TransformedTargetForecaster([deseas(), ("forecast", SESForecaster())])
     if name == "Holt":
         return holt_pipeline(damped=False)
     if name == "Damped":
         return holt_pipeline(damped=True)
-    if name == "Com":
+    if name in ENSEMBLES:
         return EnsembleForecaster([
-            ("ses", ses_pipeline()),
-            ("holt", holt_pipeline(damped=False)),
-            ("damped", holt_pipeline(damped=True)),
+            (key, build_model(part, sp, horizon, window_rule, external_regressors))
+            for key, part in ENSEMBLES[name]
         ])
     if name == "Theta":
         return theta_pipeline(box_cox=False)

@@ -1,7 +1,9 @@
 """Benchmark experiment runner.
 
-Work is a flat queue of (model, series) tasks: fit on the training series,
-forecast the full horizon, score sMAPE and MASE, capture wall time.
+Work is a queue of (dataset, series) tasks.  A task fits each model it
+needs on the training series once, forecasts the full horizon, scores
+sMAPE and MASE and captures wall time, one row per requested model; an
+ensemble such as ``Com`` averages the component fits the task holds.
 Per-series failures are recorded as data and never abort the run.  Results
 are JSON-lines — one record or error object per line, then one aggregate
 block — with all numbers rendered at 17 significant digits so identical
@@ -21,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ForecastingHorizon, TimeSeries
+from ..compose import EnsembleForecaster
+from ..core import Forecast, ForecastingHorizon, TimeSeries
 from ..evaluation import EvalRecord, mase, mean_ranks, owa, rank_models, smape
 from ..exceptions import FIT_ERRORS
 from .datasets import DATASETS, load_m4, natural_key, resolve_paths
-from .registry import build_model
+from .registry import ENSEMBLES, build_model
 
 __all__ = ["RunManifest", "run", "read_results", "dumps_17g"]
 
@@ -82,52 +85,84 @@ def dumps_17g(obj) -> str:
 # per-series evaluation
 # ---------------------------------------------------------------------------
 
-_EXTERNAL_REGRESSORS: dict | None = None  # inherited by forked workers
+_EXTERNAL_REGRESSORS: dict | None = None  # set in pool workers by _init_worker
 
 
-def _evaluate_one(task: tuple) -> dict:
-    (dataset, sp, horizon, model, sid, train_vals, test_vals,
+def _evaluate_series(task: tuple, external_regressors: dict | None) -> list:
+    """One row per model in the task, all on the task's series."""
+    (dataset, sp, horizon, models, sid, train_vals, test_vals,
      mase_denominator, window_rule) = task
     train = TimeSeries(train_vals, start_index=0, sp=sp)
     test = TimeSeries(test_vals, start_index=len(train_vals), sp=sp)
-    started = time.perf_counter()
-    try:
-        forecaster = build_model(
-            model, sp=sp, horizon=horizon, window_rule=window_rule,
-            external_regressors=_EXTERNAL_REGRESSORS,
-        )
-        forecaster.fit(train)
-        forecast = forecaster.predict(ForecastingHorizon.out_to(horizon))
-        runtime = time.perf_counter() - started
-        return {
-            "type": "record",
-            "dataset": dataset,
-            "series_id": sid,
-            "model": model,
-            "smape": smape(test.values, forecast.values),
-            "mase": mase(test.values, forecast.values, train.values, sp,
-                         denominator=mase_denominator),
-            "runtime_s": runtime,
-        }
-    except FIT_ERRORS as exc:
-        return {
-            "type": "error",
-            "dataset": dataset,
-            "series_id": sid,
-            "model": model,
-            "error": f"{type(exc).__name__}: {exc}",
-            "runtime_s": time.perf_counter() - started,
-        }
+    fh = ForecastingHorizon.out_to(horizon)
+    fits = {}  # model -> fitted forecaster, or the error its fit raised
+
+    def fitted(model):
+        if model not in fits:
+            try:
+                fits[model] = build_model(
+                    model, sp=sp, horizon=horizon, window_rule=window_rule,
+                    external_regressors=external_regressors,
+                ).fit(train)
+            except FIT_ERRORS as exc:
+                fits[model] = exc
+        if isinstance(fits[model], Exception):
+            raise fits[model]
+        return fits[model]
+
+    def forecast(model):
+        if model not in ENSEMBLES:
+            return fitted(model).predict(fh)
+        # as EnsembleForecaster: every component fit, then their
+        # predictions, then the finite check on the mean
+        parts = [fitted(part) for _, part in ENSEMBLES[model]]
+        values = EnsembleForecaster._combine(
+            parts, fh.to_absolute(train.end_index))
+        return Forecast(fh, values, cutoff=train.end_index)
+
+    rows = []
+    # components first, so a shared fit is timed in the component's row
+    for model in sorted(models, key=lambda m: m in ENSEMBLES):
+        head = {"dataset": dataset, "series_id": sid, "model": model}
+        started = time.perf_counter()
+        try:
+            values = forecast(model).values
+            runtime = time.perf_counter() - started
+            row = {"type": "record", **head,
+                   "smape": smape(test.values, values),
+                   "mase": mase(test.values, values, train.values, sp,
+                                denominator=mase_denominator)}
+        except FIT_ERRORS as exc:
+            runtime = time.perf_counter() - started
+            row = {"type": "error", **head,
+                   "error": f"{type(exc).__name__}: {exc}"}
+        rows.append({**row, "runtime_s": runtime})
+    return rows
 
 
-def _run_tasks(tasks, jobs: int):
+def _init_worker(external_regressors):
+    global _EXTERNAL_REGRESSORS
+    _EXTERNAL_REGRESSORS = external_regressors
+
+
+def _evaluate_in_worker(task: tuple) -> list:
+    return _evaluate_series(task, _EXTERNAL_REGRESSORS)
+
+
+def _run_tasks(tasks, jobs: int, external_regressors: dict | None = None):
+    """One list of rows per task, in task order."""
     # a fork-based pool starts every worker up front, so never ask for more
     # than there are tasks
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        return [_evaluate_one(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_one, tasks, chunksize=16))
+        return [_evaluate_series(t, external_regressors) for t in tasks]
+    # many chunks per worker, so one slow series does not leave the other
+    # workers idle at the end
+    chunksize = max(1, len(tasks) // (16 * workers))
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker,
+            initargs=(external_regressors,)) as pool:
+        return list(pool.map(_evaluate_in_worker, tasks, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +223,10 @@ def _aggregate_dataset(dataset: str, models: list, rows: list) -> dict:
 def run(manifest: RunManifest, external_regressors: dict | None = None) -> dict:
     """Execute a manifest; writes JSON-lines to ``manifest.out_path``.
 
-    Returns the aggregate block.  ``external_regressors`` factories are
-    inherited by worker processes via fork; on platforms without fork use
-    ``jobs=1`` when plugging externals in.
+    Returns the aggregate block.  ``external_regressors`` factories go to
+    the evaluation directly with ``jobs=1`` and to each pool worker through
+    its initializer; where workers are not forked they must pickle.
     """
-    global _EXTERNAL_REGRESSORS
-    _EXTERNAL_REGRESSORS = external_regressors
-    try:
-        return _run_manifest(manifest)
-    finally:
-        _EXTERNAL_REGRESSORS = None
-
-
-def _run_manifest(manifest: RunManifest) -> dict:
     started = time.perf_counter()
     models = list(manifest.models)
     if "Naive2" not in models:
@@ -214,13 +240,14 @@ def _run_manifest(manifest: RunManifest) -> dict:
         )
         data = load_m4(train_path, test_path, spec)
         tasks = [
-            (dataset, spec.sp, spec.horizon, model, sid,
+            (dataset, spec.sp, spec.horizon, models, sid,
              train.values.tolist(), test.values.tolist(),
              manifest.mase_denominator, manifest.window_rule)
-            for model in models
             for sid, train, test in data
         ]
-        rows = _run_tasks(tasks, manifest.jobs)
+        rows = [row for task_rows in
+                _run_tasks(tasks, manifest.jobs, external_regressors)
+                for row in task_rows]
         rows.sort(key=lambda r: (r["model"], natural_key(r["series_id"])))
         per_dataset_rows[dataset] = rows
 

@@ -1,16 +1,23 @@
+import functools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ufcast.compose import EnsembleForecaster, TransformedTargetForecaster
 from ufcast.core import ForecastingHorizon, TimeSeries
+from ufcast.evaluation import mase, smape
 from ufcast.exceptions import (
+    FIT_ERRORS,
     MalformedRowError,
     MissingReferenceError,
     MissingTestSeriesError,
+    OptimizerFailedError,
     UnknownModelError,
 )
+from ufcast.forecasters import HoltForecaster, SESForecaster
+from ufcast.m4.cli import _DEFAULT_MODELS
 from ufcast.m4.datasets import DATASETS, load_m4
 from ufcast.m4.published import (
     compare_aggregate,
@@ -159,6 +166,34 @@ class TestRegistry:
                                external_regressors=external) is not None
 
 
+def _record_pools(monkeypatch):
+    """Replace the process pool with an in-process one that records its
+    arguments."""
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            created.append({"max_workers": max_workers})
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            created[-1]["chunksize"] = chunksize
+            return map(fn, tasks)
+
+    monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(runner, "_evaluate_series",
+                        lambda task, external_regressors: task)
+    monkeypatch.setattr(runner, "_EXTERNAL_REGRESSORS", None)
+    return created
+
+
 @pytest.fixture(scope="module")
 def mini_run(mini_m4_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("results") / "results.jsonl"
@@ -264,27 +299,21 @@ class TestRunner:
                                            pool_workers):
         # a fork pool starts all max_workers at once; record the request
         # instead of starting any process
-        created = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(runner.concurrent.futures, "ProcessPoolExecutor",
-                            RecordingPool)
-        monkeypatch.setattr(runner, "_evaluate_one", lambda task: task)
+        created = _record_pools(monkeypatch)
         tasks = list(range(n_tasks))
         assert runner._run_tasks(tasks, jobs) == tasks
-        assert created == ([] if pool_workers is None else [pool_workers])
+        assert [pool["max_workers"] for pool in created] == (
+            [] if pool_workers is None else [pool_workers])
+
+    @pytest.mark.parametrize("n_tasks, chunksize", [
+        (5, 1), (32, 1), (250, 7), (2500, 78),
+    ])
+    def test_pool_chunks_follow_task_count(self, monkeypatch, n_tasks,
+                                           chunksize):
+        # many chunks per worker even when a task is a whole series
+        created = _record_pools(monkeypatch)
+        runner._run_tasks(list(range(n_tasks)), 2)
+        assert [pool["chunksize"] for pool in created] == [chunksize]
 
     def test_seventeen_digit_serialisation(self):
         line = dumps_17g({"x": 1.0 / 3.0, "n": 3, "s": "a", "b": True,
@@ -349,6 +378,134 @@ class TestRunner:
         ma = a["datasets"]["hourly"]["models"]["Naive"]["mean_mase"]
         mb = b["datasets"]["hourly"]["models"]["Naive"]["mean_mase"]
         assert ma != mb
+
+
+# two quarterly series; the first is short enough to single out
+_QUARTERLY = [("Q1", 26), ("Q2", 36)]
+
+
+@pytest.fixture
+def quarterly_dir(tmp_path):
+    train_rows, test_rows = [], []
+    for i, (sid, n) in enumerate(_QUARTERLY, start=1):
+        full = seasonal_series(n=n + 8, sp=4, level=40.0 + 7 * i,
+                               slope=0.4 * i, amp=0.15, noise=0.03 * i,
+                               seed=900 + i).values
+        train_rows.append((sid, full[:n]))
+        test_rows.append((sid, full[n:]))
+    write_m4_csv(tmp_path / "Quarterly-train.csv", train_rows)
+    write_m4_csv(tmp_path / "Quarterly-test.csv", test_rows)
+    return tmp_path
+
+
+def _run_rows(directory, models, jobs=1, external_regressors=None):
+    """Rows of a quarterly run, each without its runtime."""
+    out = directory / f"r{jobs}.jsonl"
+    run(RunManifest(datasets=["quarterly"], models=models,
+                    train_dir=str(directory), test_dir=str(directory),
+                    out_path=str(out), jobs=jobs),
+        external_regressors=external_regressors)
+    rows = [json.loads(line) for line in out.read_text().splitlines()][:-1]
+    for row in rows:
+        del row["runtime_s"]
+    return rows
+
+
+def _standalone_row(model, directory, sid):
+    """The row of a fresh ``build_model(model)`` fit and forecast on its
+    own, as the runner wrote it before tasks shared fits."""
+    spec = DATASETS["quarterly"]
+    (train, test), = [(t, e) for s, t, e in load_m4(
+        directory / "Quarterly-train.csv", directory / "Quarterly-test.csv",
+        spec) if s == sid]
+    row = {"type": "record", "dataset": "quarterly", "series_id": sid,
+           "model": model}
+    try:
+        forecast = build_model(model, sp=4, horizon=8).fit(train).predict(
+            ForecastingHorizon.out_to(8)).values
+        row["smape"] = smape(test.values, forecast)
+        row["mase"] = mase(test.values, forecast, train.values, 4)
+    except FIT_ERRORS as exc:
+        row["type"] = "error"
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
+
+
+class TestPerSeriesTasks:
+    """One task runs every model on one series; ``Com`` averages the SES,
+    Holt and Damped fits the task already holds."""
+
+    def _assert_standalone(self, rows, directory, model="Com"):
+        got = [r for r in rows if r["model"] == model]
+        assert [r["series_id"] for r in got] == [sid for sid, _ in _QUARTERLY]
+        for row in got:
+            expected = _standalone_row(model, directory, row["series_id"])
+            assert dumps_17g(row) == dumps_17g(expected)
+        return got
+
+    @pytest.mark.parametrize("damped", [False, True], ids=["Holt", "Damped"])
+    def test_component_fit_error_is_coms_error(self, quarterly_dir,
+                                               monkeypatch, damped):
+        estimate = HoltForecaster._estimate
+
+        def failing(self, values):
+            if self.damped is damped and values.size < 30:
+                raise OptimizerFailedError("injected failure")
+            return estimate(self, values)
+
+        monkeypatch.setattr(HoltForecaster, "_estimate", failing)
+        rows = _run_rows(quarterly_dir, ["SES", "Holt", "Damped", "Com"])
+        com = self._assert_standalone(rows, quarterly_dir)
+        assert [r["type"] for r in com] == ["error", "record"]
+        assert com[0]["error"] == "OptimizerFailedError: injected failure"
+        failed = {r["model"] for r in rows if r["type"] == "error"}
+        assert failed == {"Damped" if damped else "Holt", "Com"}
+
+    def test_non_finite_component_forecast_fails_com(self, quarterly_dir,
+                                                     monkeypatch):
+        predict_ahead = SESForecaster._predict_ahead
+
+        def non_finite(self, steps):
+            if len(self._y) < 30:
+                return np.full(steps.size, np.inf)
+            return predict_ahead(self, steps)
+
+        monkeypatch.setattr(SESForecaster, "_predict_ahead", non_finite)
+        rows = _run_rows(quarterly_dir, ["SES", "Holt", "Damped", "Com"])
+        com = self._assert_standalone(rows, quarterly_dir)
+        assert [r["type"] for r in com] == ["error", "record"]
+        assert com[0]["error"].startswith("NonFiniteInputError")
+
+    def test_com_without_its_components(self, quarterly_dir):
+        rows = _run_rows(quarterly_dir, ["Com"])
+        assert {r["model"] for r in rows} == {"Com", "Naive2"}
+        com = self._assert_standalone(rows, quarterly_dir)
+        assert [r["type"] for r in com] == ["record", "record"]
+
+    def test_each_smoothing_model_fitted_once(self, quarterly_dir,
+                                              monkeypatch):
+        calls = Counter()
+        for cls in (HoltForecaster, SESForecaster):
+            def counting(self, *args, _fit=cls.fit, **kwargs):
+                calls[type(self).__name__] += 1
+                return _fit(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "fit", counting)
+        rows = _run_rows(quarterly_dir, _DEFAULT_MODELS.split(","))
+        assert len(rows) == 9 * len(_QUARTERLY)
+        # Holt and Damped per series, not again inside Com
+        assert calls == {"HoltForecaster": 2 * len(_QUARTERLY),
+                         "SESForecaster": len(_QUARTERLY)}
+
+    def test_external_regressors_reach_pool_workers(self, quarterly_dir):
+        external = {"RF": functools.partial(KNNRegressor, k=2)}
+        serial = _run_rows(quarterly_dir, ["RF", "RF-s"], jobs=1,
+                           external_regressors=external)
+        pooled = _run_rows(quarterly_dir, ["RF", "RF-s"], jobs=2,
+                           external_regressors=external)
+        assert all(r["type"] == "record" for r in pooled)
+        assert pooled == serial
+        assert runner._EXTERNAL_REGRESSORS is None
 
 
 class TestCompare:
