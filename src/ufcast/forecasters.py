@@ -5,10 +5,14 @@ polynomial trend.
 Smoothing parameters are estimated by minimising the in-sample one-step
 sum of squared errors: a coarse deterministic grid over the smoothing
 coefficients (0.01 to 0.99, step 0.02) seeds a Nelder-Mead refinement that
-also adjusts the initial states.  Everything is deterministic.
+also adjusts the initial states.  The refinement is an in-package port of
+scipy's Nelder-Mead (same steps, same results) that runs on Python floats.
+Everything is deterministic.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import optimize
@@ -85,17 +89,19 @@ class NaiveForecaster(BaseForecaster):
 
 # SES keeps its own SSE kernel rather than running _holt_sse_scalar with
 # beta=0, phi=1, b0=0: that is bit-identical for finite inputs (the property
-# tests pin it) but costs 0.60 ms against 0.26 ms per SSE at n=800 on a
-# 2-vCPU Xeon (Python 3.11, numpy 2.4), and this kernel is the hot path of
-# Theta's SES (4.1 s of Nelder-Mead over 168 fits on the benchmark's
-# reduction workload) and of the harness workload (160k evaluations).
-# Neither optimiser runs _smoothing_path, which also records the fitted
-# values: 16.5 and 275 us per call at n=40 and 700, against 12.1 and 202 us
-# for _holt_sse_scalar and 4.9 and 75 us here.  SES's 50-alpha grid runs
-# this kernel once per alpha: that takes 1.1-1.3x the time of a vectorised
-# grid kernel at n 13-900 (medians of interleaved runs), but the grid is
-# 5-14 % of an SES fit, so a second copy of the recursion saves at most
-# about 4 % of one.
+# tests pin it) but slower, and this kernel is the hot path of SES and
+# Theta fits (the harness workload's 160k Nelder-Mead evaluations).  Per
+# call with Python float arguments, as _nelder_mead's vertices pass them,
+# on a 2-vCPU Xeon (Python 3.11, numpy 2.4): 5.7 and 74 us at n=60 and 800,
+# against 15 and 199 us for _holt_sse_scalar and 21 and 259 us for
+# _smoothing_path, which also records the fitted values (neither optimiser
+# runs it).  Numpy scalar coefficients make every step numpy scalar
+# arithmetic: 19 and 261 us.  One evaluation inside an SES fit, the
+# optimiser's steps included, costs about 11 and 84 us.  SES's 50-alpha
+# grid runs this kernel once per alpha: that takes 1.1-1.3x the time of a
+# vectorised grid kernel at n 13-900, and the grid is 12-34 % of an SES fit
+# at n 60-800, so a second copy of the recursion would save at most about
+# 8 % of one.
 
 def _ses_sse_scalar(values, alpha, l0):
     """One-step SSE of the level recursion ``level += alpha * (x - level)``
@@ -109,8 +115,122 @@ def _ses_sse_scalar(values, alpha, l0):
     return sse
 
 
+class _MaxFevReached(Exception):
+    """Raised in place of an objective evaluation past ``maxfev``."""
+
+
+def _nelder_mead(fun, x0, args=(), xatol=1e-4, fatol=1e-4, maxiter=None,
+                 maxfev=None, **unused):
+    """scipy's Nelder-Mead on lists of Python floats.
+
+    A port of scipy 1.17's ``_minimize_neldermead`` without bounds and with
+    ``adaptive=False``: the same initial simplex, ``maxiter``/``maxfev``
+    defaults and cap, convergence test, steps and operand order, so ``x``,
+    ``fun``, ``nit``, ``nfev`` and ``status`` equal scipy's bit for bit.
+    Vertices are ordered with ``np.argsort`` of their values wherever scipy
+    sorts: for four or more values that sort need not be stable, and ties
+    (several vertices at inf) are common, so another sort would move
+    results.  ``fun(x, *args)`` gets a fresh list of floats and returns a
+    float.  It is passed to :func:`scipy.optimize.minimize` as ``method``,
+    which adds the keywords collected in ``unused``.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).ravel().tolist()
+    n = len(x0)
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+
+    if maxiter is None and maxfev is None:
+        maxiter = maxfev = n * 200
+    elif maxiter is None:
+        maxiter = n * 200 if maxfev == np.inf else np.inf
+    elif maxfev is None:
+        maxfev = n * 200 if maxiter == np.inf else np.inf
+
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFevReached
+        nfev += 1
+        return fun(list(x), *args)
+
+    def by_value(sim, fsim):
+        order = np.array(fsim).argsort().tolist()
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    fsim = [np.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _MaxFevReached:
+        pass
+    sim, fsim = by_value(sim, fsim)
+    sim, fsim = by_value(sim, fsim)
+
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            best = sim[0]
+            if (all(abs(v - b) <= xatol
+                    for x in sim[1:] for v, b in zip(x, best))
+                    and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
+                break
+
+            xbar = best
+            for x in sim[1:-1]:
+                xbar = [c + v for c, v in zip(xbar, x)]
+            xbar = [c / n for c in xbar]
+            worst = sim[-1]
+            xr = [2 * c - w for c, w in zip(xbar, worst)]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                shrink = False
+                if fxr < fsim[-1]:
+                    xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+                    fxc = f(xc)
+                    if fxc <= fxr:
+                        sim[-1], fsim[-1] = xc, fxc
+                    else:
+                        shrink = True
+                else:
+                    xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+                    fxcc = f(xcc)
+                    if fxcc < fsim[-1]:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                    else:
+                        shrink = True
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = [b + 0.5 * (v - b)
+                                  for b, v in zip(best, sim[j])]
+                        fsim[j] = f(sim[j])
+            nit += 1
+        except _MaxFevReached:
+            pass
+        sim, fsim = by_value(sim, fsim)
+
+    status = 1 if nfev >= maxfev else 2 if nit >= maxiter else 0
+    return optimize.OptimizeResult(
+        x=np.array(sim[0]), fun=np.min(fsim), nit=nit, nfev=nfev,
+        status=status, success=status == 0)
+
+
 def _refine(objective, x0, seed_sse, options=None):
-    """Deterministic Nelder-Mead from the best grid point.
+    """Deterministic Nelder-Mead from the best grid point; returns the
+    point as a list of floats and its SSE.
 
     By default convergence thresholds are relative to the seed objective;
     ``options`` replaces them.  The result is only accepted when it beats
@@ -118,13 +238,11 @@ def _refine(objective, x0, seed_sse, options=None):
     """
     if options is None:
         options = {"xatol": 1e-7, "fatol": 1e-10 * (1.0 + abs(seed_sse))}
-    res = optimize.minimize(
-        objective, np.asarray(x0, dtype=float), method="Nelder-Mead",
-        options=options,
-    )
+    res = optimize.minimize(objective, x0, method=_nelder_mead,
+                            options=options)
     if np.isfinite(res.fun) and res.fun < seed_sse:
-        return np.asarray(res.x), float(res.fun)
-    return np.asarray(x0, dtype=float), float(seed_sse)
+        return res.x.tolist(), float(res.fun)
+    return list(x0), float(seed_sse)
 
 
 def _grid_best(sse, what):
@@ -155,12 +273,12 @@ def _ses_fit(values):
     def objective(x):
         a, l0_scaled = x
         if not 0.0 <= a <= 1.0:
-            return np.inf
+            return math.inf
         s = _ses_sse_scalar(data, a, l0_scaled * scale)
-        return s if np.isfinite(s) else np.inf
+        return s if math.isfinite(s) else math.inf
 
     x, sse = _refine(objective, [grid[best], y0 / scale], seed_sse)
-    return float(np.clip(x[0], 0.0, 1.0)), 0.0, 1.0, float(x[1] * scale), 0.0, sse
+    return float(np.clip(x[0], 0.0, 1.0)), 0.0, 1.0, x[1] * scale, 0.0, sse
 
 
 def _smoothing_path(values, alpha, beta, phi, level, trend):
@@ -337,8 +455,9 @@ def _holt_sse_scalar(values, alpha, beta, phi, l0, b0):
     ``values`` is a list of floats.  The recursion uses the grid kernel's
     exact expressions, ``(1 - beta) * phi * trend`` grouped left to right
     included, so the result equals a one-candidate grid call bit for bit
-    (inf and nan included) and Nelder-Mead follows the same path whichever
-    kernel feeds it; this one is an order of magnitude faster per call.
+    (inf and nan included) and :func:`_nelder_mead`, the port of scipy's
+    Nelder-Mead, follows the same path whichever kernel feeds it; this one
+    is an order of magnitude faster per call.
     """
     level = l0
     trend = b0
@@ -411,15 +530,15 @@ class HoltForecaster(_SmoothingForecaster):
             """(alpha, beta, phi) with the free ones read from ``x``."""
             out = list(seed)
             for i, v in zip(free, x):
-                out[i] = float(v)
+                out[i] = v
             return out
 
         def objective(x):
             a, b, p = coefficients(x)
             if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 < p <= 1.0):
-                return np.inf
-            s = _holt_sse_scalar(data, a, b, p, float(x[-2]), float(x[-1]))
-            return s if np.isfinite(s) else np.inf
+                return math.inf
+            s = _holt_sse_scalar(data, a, b, p, x[-2], x[-1])
+            return s if math.isfinite(s) else math.inf
 
         x0 = [seed[i] for i in free] + [l0, b0]
         x, best_sse = _refine(
@@ -430,7 +549,7 @@ class HoltForecaster(_SmoothingForecaster):
         a = float(np.clip(a, 0.0, 1.0))
         b = float(np.clip(b, 0.0, 1.0))
         p = float(np.clip(p, 1e-6, 1.0))
-        return a, b, p, float(x[-2]), float(x[-1]), best_sse
+        return a, b, p, x[-2], x[-1], best_sse
 
     def _predict_ahead(self, steps):
         if self.damped:
