@@ -79,7 +79,7 @@ class ReducedRegressionForecaster(BaseForecaster):
 
     def _predict_ahead(self, steps):
         w = self.window_length
-        window = self._y.values[-w:].astype(float).copy()
+        window = self._y.values[-w:].astype(float)  # astype copies
         preds = np.empty(int(steps.max()))
         for k in range(preds.size):
             preds[k] = float(self.regressor.predict(window[None, :])[0])

@@ -87,6 +87,9 @@ def _cmd_run(args) -> int:
     if unknown:
         print(f"unknown models: {', '.join(unknown)}", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     manifest = RunManifest(
         datasets=datasets, models=models, train_dir=args.train_dir,
         test_dir=args.test_dir, out_path=args.out, jobs=args.jobs,

@@ -226,7 +226,10 @@ def run(manifest: RunManifest, external_regressors: dict | None = None) -> dict:
     Returns the aggregate block.  ``external_regressors`` factories go to
     the evaluation directly with ``jobs=1`` and to each pool worker through
     its initializer; where workers are not forked they must pickle.
+    ``manifest.jobs`` below 1 raises ``ValueError`` before any data is read.
     """
+    if manifest.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {manifest.jobs}")
     started = time.perf_counter()
     models = list(manifest.models)
     if "Naive2" not in models:

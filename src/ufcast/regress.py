@@ -4,6 +4,15 @@ Two deterministic reference implementations: minimum-norm least squares
 (pseudoinverse, so collinear designs stay well-defined) and k-nearest
 neighbours with stable index-order tie-breaking.  Anything exposing
 ``fit(X, y)`` / ``predict(X)`` plugs into the same seam.
+
+The neighbour search filters, then refines.  A matrix-vector product and
+the row norms give each squared distance to within a strict rounding-error
+bound (the ||a||^2 - 2 a.b + ||b||^2 expansion of scikit-learn's
+brute-force neighbours; the bound after Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2002, sec. 3.1), which rules out the rows that
+cannot be among the k nearest.  The one exact distance kernel then ranks
+the rows left, so predictions are bit for bit those of ranking every row.
+Small tables skip the filter.
 """
 
 from __future__ import annotations
@@ -62,6 +71,18 @@ class LinearRegressor(BaseEstimator):
         return X @ self.coef_ + self.intercept_
 
 
+# Below this many table cells (n * w) the filter costs more than it saves,
+# and every row goes to the exact kernel.  One-row predicts on sliding
+# windows (2-vCPU Xeon), filter time over full-table time: 1.26 at 30
+# cells, 1.0-1.08 at 360-720, 0.93-0.99 at 960-1008, 0.71-0.76 at 1200
+# and 0.32 at 16,800 (n=700, w=24).
+_FILTER_MIN_SIZE = 1000
+
+# Largest row or query norm the filter takes: with both at most 2**1000, no
+# product, sum or bound it forms can overflow.
+_FILTER_LIMIT = 2.0**1000
+
+
 class KNNRegressor(BaseEstimator):
     """Mean target of the k nearest training rows (Euclidean distance).
 
@@ -69,9 +90,24 @@ class KNNRegressor(BaseEstimator):
     predictions deterministic; for ``k == 1`` that row is the first
     ``argmin`` of the distances.  ``fit`` refuses non-finite ``X`` or ``y``
     with ``ValueError``: a NaN distance would be ``argmin``'s pick but the
-    stable sort's last.  ``fit`` allocates the (n, w) scratch buffer that
-    every ``predict`` writes into, so no fitted instance may be shared
-    between threads.
+    stable sort's last.
+
+    ``predict`` filters, then refines.  The filter bounds each squared
+    distance with one matrix-vector product per query row ``q``:
+    ``a_i = s_i - 2 X_i.q + q.q``, with the row norms ``s_i`` taken at
+    ``fit``, is within ``B_i = c (s_i + q.q) + eta`` of the distance the
+    exact kernel computes, for ``c = 16 (w + 4) 2**-53`` and
+    ``eta = (w + 4) 2**-1022``.  That covers any summation order or FMA in
+    the BLAS, the kernel's own rounding and underflow, about four times
+    over.  A row whose ``a_i - B_i`` exceeds the k-th smallest ``a_j + B_j``
+    is strictly farther than k other rows, so it is dropped.  The refine
+    runs the exact kernel (subtract, square, ``sum(axis=1)`` in the fitted
+    table's memory order) on the rows left, in row order, and takes the
+    first ``argmin`` (k=1) or the stable ``argsort`` (k>1): the neighbours,
+    and their order, are those of the full table.  Tables below
+    ``_FILTER_MIN_SIZE`` cells, norms or queries past ``_FILTER_LIMIT`` and
+    non-finite queries skip the filter and refine every row.  ``predict``
+    writes no shared state.
     """
 
     def __init__(self, k: int = 1):
@@ -94,11 +130,53 @@ class KNNRegressor(BaseEstimator):
             raise KTooLargeError(f"k={self.k} but only {X.shape[0]} rows")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("KNNRegressor needs finite X and y")
+        if not (X.flags.c_contiguous or X.flags.f_contiguous):
+            # contiguous in the layout the kernel's differences take, so a
+            # subset of rows sums in the full table's order
+            X = X.copy(order="K")
         self._X = X
         self._y = y
-        self._buf = np.empty_like(X)
+        self._bounds = None
+        n, w = X.shape
+        if n * w >= _FILTER_MIN_SIZE:
+            s = np.einsum("ij,ij->i", X, X)
+            if s.max() <= _FILTER_LIMIT:
+                c = 16 * (w + 4) * 2.0**-53
+                # halved and less its q.q terms, a_i -/+ B_i is
+                # s_i (1 -/+ c) / 2 - X_i.q
+                self._bounds = (s * ((1 - c) / 2), s * ((1 + c) / 2),
+                                c, (w + 4) * 2.0**-1022)
         self._is_fitted = True
         return self
+
+    def _candidates(self, q):
+        """Ascending indices of the rows that may be among the k nearest
+        to ``q``, or None for every row."""
+        if self._bounds is None:
+            return None
+        lo_half, hi_half, c, eta = self._bounds
+        qq = q.dot(q)
+        if not qq <= _FILTER_LIMIT:  # also NaN
+            return None
+        p = self._X.dot(q)
+        hi = hi_half - p
+        k = self.k
+        t = hi.min() if k == 1 else np.partition(hi, k - 1)[k - 1]
+        lo = np.subtract(lo_half, p, out=p)
+        # halved, a_i - B_i > a_j + B_j reads lo_i > hi_j + c q.q + eta
+        return (lo <= t + (c * qq + eta)).nonzero()[0]
+
+    def _distances(self, q, rows):
+        """The exact kernel: squared distances from ``q`` to ``rows`` (every
+        row for None), summed in the fitted table's memory order."""
+        X = self._X
+        if rows is None:
+            diff = np.subtract(X, q)
+        else:  # an F-ordered table sums column by column, so must its rows
+            diff = (X.take(rows, axis=0) if X.flags.c_contiguous
+                    else X.T.take(rows, axis=1).T)
+            np.subtract(diff, q, out=diff)
+        return np.multiply(diff, diff, out=diff).sum(axis=1)
 
     def predict(self, X) -> np.ndarray:
         self._check_fitted()
@@ -107,14 +185,17 @@ class KNNRegressor(BaseEstimator):
             raise DimensionMismatchError(
                 f"expected {self._X.shape[1]} features, got {X.shape[1]}"
             )
-        buf = self._buf
+        k = self.k
         out = np.empty(X.shape[0])
         for i, row in enumerate(X):
-            np.subtract(self._X, row, out=buf)
-            d2 = np.multiply(buf, buf, out=buf).sum(axis=1)
-            if self.k == 1:
-                out[i] = self._y[d2.argmin()]
-            else:
-                nearest = np.argsort(d2, kind="stable")[: self.k]
-                out[i] = self._y[nearest].mean()
+            rows = self._candidates(row)
+            if k == 1 and rows is not None and rows.size == 1:
+                out[i] = self._y[rows[0]]
+                continue
+            d2 = self._distances(row, rows)
+            nearest = (d2.argmin() if k == 1
+                       else np.argsort(d2, kind="stable")[:k])
+            if rows is not None:
+                nearest = rows[nearest]
+            out[i] = self._y[nearest] if k == 1 else self._y[nearest].mean()
         return out

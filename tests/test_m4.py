@@ -292,6 +292,19 @@ class TestRunner:
             run(manifest, external_regressors={"RF": lambda: KNNRegressor(2)})
         assert runner._EXTERNAL_REGRESSORS is None
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected_before_reading(self, tmp_path, jobs):
+        # the data directory is empty: a FileNotFoundError would mean the
+        # check came after the first read
+        manifest = RunManifest(
+            datasets=["hourly"], models=["Naive"], train_dir=str(tmp_path),
+            test_dir=str(tmp_path), out_path=str(tmp_path / "r.jsonl"),
+            jobs=jobs,
+        )
+        with pytest.raises(ValueError, match="jobs"):
+            run(manifest)
+        assert not (tmp_path / "r.jsonl").exists()
+
     @pytest.mark.parametrize("jobs, n_tasks, pool_workers", [
         (8, 3, 3), (2, 5, 2), (8, 1, None), (1, 4, None),
     ])
@@ -681,6 +694,18 @@ class TestCli:
             "--out", str(tmp_path / "x.jsonl"),
         ])
         assert code == 2
+
+    def test_jobs_below_one_rejected(self, mini_m4_dir, tmp_path, capsys):
+        from ufcast.m4.cli import main
+
+        code = main([
+            "run", "--dataset", "hourly", "--models", "Naive",
+            "--train-dir", str(mini_m4_dir), "--test-dir", str(mini_m4_dir),
+            "--out", str(tmp_path / "x.jsonl"), "--jobs", "0",
+        ])
+        assert code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_unknown_dataset_rejected(self, mini_m4_dir, tmp_path):
         from ufcast.m4.cli import main

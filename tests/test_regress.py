@@ -1,8 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ufcast import regress
 from ufcast.exceptions import (
     DimensionMismatchError,
     KTooLargeError,
@@ -145,7 +147,7 @@ class TestKNNRegressor:
     @_given_data
     def test_predict_matches_reference_bitwise(self, data):
         # small integers make duplicate rows and exact distance ties common;
-        # the refit on a new shape catches a stale scratch buffer
+        # the refit on a new shape catches state left from the first fit
         ints = st.integers(-3, 3)
         reg = KNNRegressor(k=data.draw(st.sampled_from([1, 2, 3])))
         for _ in range(2):
@@ -165,9 +167,110 @@ class TestKNNRegressor:
             got = reg.fit(X, y).predict(Q)
             assert got.tobytes() == _reference_knn(X, y, Q, reg.k).tobytes()
 
+    @_given_data
+    def test_filter_matches_reference_bitwise(self, data):
+        # the cutoff is lifted so small tables take the filter; w runs past
+        # numpy's 8-lane pairwise block, norms underflow (1e-160) and
+        # overflow (1e155), near-duplicate rows differ by one ulp, and the
+        # targets are distinct so any other neighbour shows
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        k = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(k, 40))
+        w = data.draw(st.integers(1, 30))
+        scales = data.draw(st.lists(st.sampled_from(
+            [1.0, 1.0, 1e-3, 1e-80, 1e80, 1e-160, 1e150, 1e155]),
+            min_size=1, max_size=2))
+        rng = np.random.default_rng(seed)
+        if data.draw(st.booleans()):
+            X = rng.integers(-2, 3, size=(n, w)).astype(float)
+        else:
+            X = rng.normal(size=(n, w))
+        X *= rng.choice(scales, size=(n, 1))
+        pairs = rng.integers(0, n, size=(data.draw(st.integers(0, 6)), 2))
+        for i, j in pairs:
+            nudged = np.nextafter(X[i], rng.choice([-np.inf, np.inf], size=w))
+            X[j] = np.where(rng.random(w) < 0.5, X[i], nudged)
+        for j in rng.integers(0, n, size=data.draw(st.integers(0, 2))):
+            X[j] = X[j, 0]
+        if data.draw(st.booleans()):
+            X = np.asfortranarray(X)
+        y = rng.permutation(n).astype(float)
+        m = data.draw(st.integers(1, 4))
+        Q = X[rng.integers(0, n, size=m)]
+        Q *= rng.choice([1.0, 1 + 2**-52], size=(m, w))
+        noise = rng.choice([0.0, 1e-6, 1e-2, 1.0], size=(m, 1))
+        Q += noise * np.abs(Q).max(axis=1, keepdims=True) * rng.normal(
+            size=(m, w))
+        far = data.draw(st.sampled_from([1.0, 1.0, 1e-160, 1e160]))
+        for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            Q[rng.integers(m), rng.integers(w)] = rng.choice(
+                [np.nan, np.inf, -np.inf])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                mock.patch.object(regress, "_FILTER_MIN_SIZE", 0):
+            Q *= rng.choice([1.0, far], size=(m, 1))
+            got = KNNRegressor(k=k).fit(X, y).predict(Q)
+            want = _reference_knn(X, y, Q, k)
+        assert got.tobytes() == want.tobytes()
+
+    def test_underflowing_distances_match_reference(self):
+        # small integer multiples of 1e-158 and 3e-161 square into the
+        # subnormals, where the relative part of the filter's bound
+        # rounds to zero and only the absolute term keeps tied rows
+        rng = np.random.default_rng(0)
+        with mock.patch.object(regress, "_FILTER_MIN_SIZE", 0):
+            for _ in range(1500):
+                n, w = rng.integers(2, 12), rng.integers(1, 6)
+                scale = rng.choice([1e-158, 3e-161])
+                X = rng.integers(-3, 4, size=(n, w)) * scale
+                Q = rng.integers(-3, 4, size=(3, w)) * scale
+                y = rng.permutation(n).astype(float)
+                got = KNNRegressor(k=1).fit(X, y).predict(Q)
+                want = _reference_knn(X, y, Q, 1)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_either_side_of_cutoff_matches_reference(self, k, order):
+        # sliding windows of a seasonal walk, as the reduction forecaster
+        # builds them: one table just below the cutoff, one at or above it
+        w = 24
+        rng = np.random.default_rng(7)
+        t = np.arange(200)
+        series = (np.sin(2 * np.pi * t / w) * 10
+                  + np.cumsum(rng.normal(size=t.size)))
+        windows = np.lib.stride_tricks.sliding_window_view(series, w)
+        n_below = (regress._FILTER_MIN_SIZE - 1) // w
+        for n, filtered in ((n_below, False), (n_below + 1, True)):
+            X = np.asarray(windows[:n], order=order)
+            y = series[w:w + n]
+            knn = KNNRegressor(k=k).fit(X, y)
+            assert (knn._bounds is not None) is filtered
+            Q = np.vstack([windows[n:n + 20], windows[:5]])
+            got = knn.predict(Q)
+            assert got.tobytes() == _reference_knn(X, y, Q, k).tobytes()
+
+    @pytest.mark.parametrize("layout", ["C", "F", "C rows strided",
+                                        "F rows strided"])
+    def test_refine_sums_rows_as_the_full_table(self, layout):
+        # the refine's distances to a subset of rows are bit for bit the
+        # full table's: pairwise per row in C order, column by column in F
+        rng = np.random.default_rng(11)
+        A = rng.normal(size=(120, 24)) * 10.0 ** rng.integers(-4, 5, (120, 24))
+        X = {"C": np.ascontiguousarray(A[:60]),
+             "F": np.asfortranarray(A[:60]),
+             "C rows strided": np.ascontiguousarray(A)[::2],
+             "F rows strided": np.asfortranarray(A)[::2]}[layout]
+        knn = KNNRegressor(k=1).fit(X, np.zeros(60))
+        q = rng.normal(size=24)
+        full = knn._distances(q, None)
+        for m in (2, 3, 17, 60):
+            rows = np.sort(rng.choice(60, m, replace=False))
+            assert knn._distances(q, rows).tobytes() == full[rows].tobytes()
+
     def test_one_row_predict_allocates_no_table(self):
         # 200 one-row calls at n=700, w=24 must peak below one (n, w) float
-        # array: the differences go to the buffer allocated at fit
+        # array: the filter works on n-vectors, and the refine copies only
+        # the candidate rows
         rng = np.random.default_rng(5)
         X, y = rng.normal(size=(700, 24)), rng.normal(size=700)
         knn = KNNRegressor(k=1).fit(X, y)
