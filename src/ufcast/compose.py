@@ -8,12 +8,14 @@ one-step prediction is appended to the window to produce the next.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import BaseForecaster, as_series
+from .core import BaseEstimator, BaseForecaster, as_series
 from .exceptions import SeriesTooShortError, UnsupportedInSampleError
 
 __all__ = [
@@ -100,6 +102,56 @@ class ReducedRegressionForecaster(BaseForecaster):
         return {"n_windows": self.n_windows_}
 
 
+# (step key, input values bytes, start_index, sp) -> (fitted attributes,
+# transformed series); None outside any scope
+_PREFIX_CACHE: contextvars.ContextVar = contextvars.ContextVar(
+    "ufcast_prefix_cache", default=None)
+
+
+@contextlib.contextmanager
+def _prefix_cache_scope():
+    """Share fitted pipeline transformers until the outermost scope exits.
+
+    A scope opened inside another joins it.  Outside every scope pipelines
+    fit each step and keep nothing.
+    """
+    if _PREFIX_CACHE.get() is not None:
+        yield
+        return
+    token = _PREFIX_CACHE.set({})
+    try:
+        yield
+    finally:
+        _PREFIX_CACHE.reset(token)
+
+
+class _Unshareable(Exception):
+    """A hyper-parameter value that the prefix cache cannot key exactly."""
+
+
+_PLAIN_TYPES = (bool, int, str, type(None))
+
+
+def _value_key(value):
+    if isinstance(value, BaseEstimator):
+        return _estimator_key(value)
+    kind = type(value)
+    if kind in _PLAIN_TYPES:
+        return kind, value
+    if kind is float:
+        return kind, value.hex()  # exact: -0.0 is not 0.0, nan is nan
+    if kind in (list, tuple):
+        return kind, tuple(_value_key(item) for item in value)
+    raise _Unshareable(kind.__name__)
+
+
+def _estimator_key(estimator):
+    """Class and hyper-parameter values, nested estimators keyed alike."""
+    return type(estimator), tuple(
+        _value_key(getattr(estimator, name))
+        for name in estimator._param_names())
+
+
 def _named_steps(estimators, kind: str):
     """Normalise a list of estimators / (name, estimator) pairs."""
     named = []
@@ -126,8 +178,18 @@ class TransformedTargetForecaster(BaseForecaster):
     transform) before fitting the final forecaster; predictions run the
     inverse transformations in reverse order at the forecast positions.
     Transformers other than position-aware ones never see the horizon.
-    Grid search uses the same two folds to fit the transformer prefix once
-    per split when every tuned parameter belongs to the final step.
+
+    Inside a prefix-cache scope (one per series in the benchmark runner,
+    one per grid search) each transformer is looked up by its class, its
+    hyper-parameters (nested estimators included) and the exact values,
+    ``start_index`` and ``sp`` of its input.  A hit takes on the fitted
+    attributes and the transformed series of the earlier fit, so a prefix
+    hit composes step by step: every pipeline of a series shares one
+    seasonal adjustment, and grid-search candidates share the steps no
+    grid key reaches.  Fits never change shared state in place (``fit``
+    rebinds attributes after ``_reset``); a failed fit is not kept, and a
+    step whose hyper-parameters hold anything but plain scalars, strings,
+    ``None``, lists, tuples and estimators is always fitted directly.
 
     Steps may be given as estimators or (name, estimator) pairs; names are
     the path components for nested parameter access, e.g.
@@ -163,25 +225,41 @@ class TransformedTargetForecaster(BaseForecaster):
     @staticmethod
     def _fit_transform_through(transformers, y):
         """Fit each transformer on the output of the one before it and
-        return the last output (``y`` itself for no transformers)."""
+        return the last output (``y`` itself for no transformers).
+
+        Inside a prefix-cache scope a step fitted earlier on the same
+        input is not fitted again (see the class docstring)."""
+        cache = _PREFIX_CACHE.get()
         for transformer in transformers:
+            key = None
+            if cache is not None:
+                try:
+                    key = (_estimator_key(transformer),
+                           y.values.tobytes(), y.start_index, y.sp)
+                except _Unshareable:
+                    pass
+            if key is not None and key in cache:
+                fitted, y = cache[key]
+                transformer._reset()
+                vars(transformer).update(fitted)
+                continue
             transformer.fit(y)
             y = transformer.transform(y)
+            if key is not None:
+                params = transformer._param_names()
+                cache[key] = ({name: value for name, value
+                               in vars(transformer).items()
+                               if name not in params}, y)
         return y
-
-    @staticmethod
-    def _inverse_through(transformers, values, positions):
-        """Undo fitted ``transformers`` at ``positions``, last one first."""
-        for transformer in reversed(transformers):
-            values = transformer.inverse_at(values, positions)
-        return values
 
     def _fit(self, y):
         self._final.fit(self._fit_transform_through(self._transformers, y))
 
     def _predict_at_positions(self, positions):
         values = self._final._predict_at_positions(positions)
-        return self._inverse_through(self._transformers, values, positions)
+        for transformer in reversed(self._transformers):
+            values = transformer.inverse_at(values, positions)
+        return values
 
     def _update_state(self, y_new):
         current = y_new

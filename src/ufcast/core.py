@@ -217,13 +217,21 @@ class BaseEstimator:
         """
 
     @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [
-            p.name
-            for p in sig.parameters.values()
-            if p.name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
+    def _param_names(cls) -> tuple:
+        """Constructor argument names, read from the signature once per
+        class (kept in the class's own ``__dict__``, so a subclass never
+        sees its parent's names)."""
+        names = cls.__dict__.get("_param_names_cache")
+        if names is None:
+            sig = inspect.signature(cls.__init__)
+            names = tuple(
+                p.name
+                for p in sig.parameters.values()
+                if p.name != "self"
+                and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+            )
+            cls._param_names_cache = names
+        return names
 
     def _children(self) -> dict:
         """name -> child estimator map for dotted-path access."""

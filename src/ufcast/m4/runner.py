@@ -3,7 +3,9 @@
 Work is a queue of (dataset, series) tasks.  A task fits each model it
 needs on the training series once, forecasts the full horizon, scores
 sMAPE and MASE and captures wall time, one row per requested model; an
-ensemble such as ``Com`` averages the component fits the task holds.
+ensemble such as ``Com`` averages the component fits the task holds.  The
+task's pipelines share their fitted transformers: each task is one
+prefix-cache scope (see :class:`~ufcast.compose.TransformedTargetForecaster`).
 Per-series failures are recorded as data and never abort the run.  Results
 are JSON-lines — one record or error object per line, then one aggregate
 block — with all numbers rendered at 17 significant digits so identical
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..compose import EnsembleForecaster
+from ..compose import EnsembleForecaster, _prefix_cache_scope
 from ..core import Forecast, ForecastingHorizon, TimeSeries
 from ..evaluation import EvalRecord, mase, mean_ranks, owa, rank_models, smape
 from ..exceptions import FIT_ERRORS
@@ -121,22 +123,24 @@ def _evaluate_series(task: tuple, external_regressors: dict | None) -> list:
         return Forecast(fh, values, cutoff=train.end_index)
 
     rows = []
-    # components first, so a shared fit is timed in the component's row
-    for model in sorted(models, key=lambda m: m in ENSEMBLES):
-        head = {"dataset": dataset, "series_id": sid, "model": model}
-        started = time.perf_counter()
-        try:
-            values = forecast(model).values
-            runtime = time.perf_counter() - started
-            row = {"type": "record", **head,
-                   "smape": smape(test.values, values),
-                   "mase": mase(test.values, values, train.values, sp,
-                                denominator=mase_denominator)}
-        except FIT_ERRORS as exc:
-            runtime = time.perf_counter() - started
-            row = {"type": "error", **head,
-                   "error": f"{type(exc).__name__}: {exc}"}
-        rows.append({**row, "runtime_s": runtime})
+    # components first, so a shared fit is timed in the component's row;
+    # a transformer shared between pipelines is timed in the first one's
+    with _prefix_cache_scope():
+        for model in sorted(models, key=lambda m: m in ENSEMBLES):
+            head = {"dataset": dataset, "series_id": sid, "model": model}
+            started = time.perf_counter()
+            try:
+                values = forecast(model).values
+                runtime = time.perf_counter() - started
+                row = {"type": "record", **head,
+                       "smape": smape(test.values, values),
+                       "mase": mase(test.values, values, train.values, sp,
+                                    denominator=mase_denominator)}
+            except FIT_ERRORS as exc:
+                runtime = time.perf_counter() - started
+                row = {"type": "error", **head,
+                       "error": f"{type(exc).__name__}: {exc}"}
+            rows.append({**row, "runtime_s": runtime})
     return rows
 
 

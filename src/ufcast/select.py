@@ -5,9 +5,12 @@ series too short for a single split yields an empty iterator rather than
 an error.  Grid search scores every candidate over the splits (default
 scoring: symmetric MAPE, lower is better), picks the minimum with ties
 broken by enumeration order, and refits the winner on the full series.
-When every grid key targets the final step of a
-:class:`TransformedTargetForecaster`, the transformer prefix is fitted once
-per split and shared by all candidates.
+Every candidate is fitted whole on every split.  A grid search runs inside
+a prefix-cache scope (see
+:class:`~ufcast.compose.TransformedTargetForecaster`), so pipeline
+candidates fit each transformer that no grid key reaches once per split,
+and the refit reuses the transformers of an earlier fit on the full
+series.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import itertools
 
 import numpy as np
 
-from .compose import TransformedTargetForecaster
-from .core import BaseForecaster, Forecast, TimeSeries, as_horizon, as_series
+from .compose import _prefix_cache_scope
+from .core import BaseForecaster, TimeSeries, as_horizon, as_series
 from .evaluation import smape
 from .exceptions import FIT_ERRORS, AllCandidatesFailedError
 
@@ -108,14 +111,14 @@ class ForecastingGridSearch(BaseForecaster):
     all candidates failing is an error.  The winner is refitted on the
     full series.
 
-    When the prototype is a :class:`TransformedTargetForecaster` and every
-    grid key targets its final step (``"forecast.window_length"``), the
-    transformers cannot depend on the candidate: they are fitted and
-    applied once per split, only each candidate's final step is fitted on
-    the transformed window, and its forecast is inverted through that
-    split's transformers.  Scores, report and refit are those of fitting
-    every candidate pipeline whole; a transformer failing on a split fails
-    every candidate.
+    The search runs in a prefix-cache scope, joining one already open (the
+    benchmark runner opens one per series).  So when the prototype is a
+    :class:`~ufcast.compose.TransformedTargetForecaster`, a transformer
+    whose input and hyper-parameters do not depend on the candidate (every
+    step before the first one a grid key reaches) is fitted once per split
+    and shared by all candidates, and the refit shares the prefix of any
+    earlier fit on the same series.  Scores, report and refit are exactly
+    those of fitting every candidate pipeline whole.
     """
 
     def __init__(self, forecaster, param_grid: dict, cv, scoring=None):
@@ -138,83 +141,53 @@ class ForecastingGridSearch(BaseForecaster):
         for combo in itertools.product(*(self.param_grid[n] for n in names)):
             yield dict(zip(names, combo))
 
-    def _shared_prefix(self):
-        """The prototype's transformers that no grid key reaches.
-
-        When the prototype is a pipeline and every key targets its final
-        step, its transformers do not depend on the candidate, so clones
-        of them are fitted once per split for all candidates.  Otherwise
-        nothing is shared and each candidate is fitted whole.
-        """
-        proto = self.forecaster
-        if not isinstance(proto, TransformedTargetForecaster):
-            return []
-        final = proto.steps[-1][0] + "."
-        if not all(key.startswith(final) for key in self.param_grid):
-            return []
-        return proto._transformers
-
     def _fit(self, y):
         candidates = []
         for params in self._candidates():
             candidate = self.forecaster.clone()
             candidate.set_params(**params)  # UnknownParameterError propagates
             candidates.append(candidate)
-        report = []
-        best_score = np.inf
-        best_params = None
-        for params, (score, n_errors) in zip(
-                self._candidates(), self._evaluate(candidates, y)):
-            report.append(
-                {"params": dict(params), "mean_score": score, "n_errors": n_errors}
-            )
-            if score < best_score:
-                best_score = score
-                best_params = params
-        self.report_ = report
-        if best_params is None:
-            raise AllCandidatesFailedError(
-                "no candidate produced a finite validation score"
-            )
-        self.best_params_ = dict(best_params)
-        self.best_score_ = float(best_score)
-        self.best_forecaster_ = self.forecaster.clone()
-        self.best_forecaster_.set_params(**best_params)
-        self.best_forecaster_.fit(y)
+        with _prefix_cache_scope():
+            evaluated = self._evaluate(candidates, y)
+            report = []
+            best_score = np.inf
+            best_params = None
+            for params, (score, n_errors) in zip(self._candidates(), evaluated):
+                report.append({"params": dict(params), "mean_score": score,
+                               "n_errors": n_errors})
+                if score < best_score:
+                    best_score = score
+                    best_params = params
+            self.report_ = report
+            if best_params is None:
+                raise AllCandidatesFailedError(
+                    "no candidate produced a finite validation score"
+                )
+            self.best_params_ = dict(best_params)
+            self.best_score_ = float(best_score)
+            self.best_forecaster_ = self.forecaster.clone()
+            self.best_forecaster_.set_params(**best_params)
+            self.best_forecaster_.fit(y)
 
     def _evaluate(self, candidates, y):
         """(mean score, n_errors) of each candidate over the cv splits.
 
-        Each split fits the shared prefix once, then each candidate's
-        remaining part on the transformed training window; its forecast is
-        inverted through that split's prefix.  A candidate's first failure
-        scores it infinity and skips its later splits; a failing prefix
-        fails every candidate still standing.
+        Each candidate is fitted on each training window and scored on the
+        forecast of the validation steps.  A candidate's first failure
+        scores it infinity and skips its later splits.
         """
         scoring = self.scoring if self.scoring is not None else smape
         fh = as_horizon(self.cv.fh)
-        shared = self._shared_prefix()
-        tails = [c._final if shared else c for c in candidates]
         scores = [[] for _ in candidates]
         failed = [False] * len(candidates)
         for train_pos, test_pos in self.cv.split(y):
-            prefix = [transformer.clone() for transformer in shared]
-            try:
-                train = TransformedTargetForecaster._fit_transform_through(
-                    prefix, y.islice(int(train_pos[0]), int(train_pos[-1] + 1)))
-            except FIT_ERRORS:
-                failed = [True] * len(candidates)
-                break
+            train = y.islice(int(train_pos[0]), int(train_pos[-1] + 1))
             actual = y.values[test_pos]
-            for i, tail in enumerate(tails):
+            for i, candidate in enumerate(candidates):
                 if failed[i]:
                     continue
                 try:
-                    tail.fit(train)
-                    positions = fh.to_absolute(tail.cutoff)
-                    values = TransformedTargetForecaster._inverse_through(
-                        prefix, tail._predict_at_positions(positions), positions)
-                    forecast = Forecast(fh, values, cutoff=tail.cutoff)
+                    forecast = candidate.fit(train).predict(fh)
                     scores[i].append(float(scoring(actual, forecast.values)))
                 except FIT_ERRORS:
                     failed[i] = True

@@ -5,10 +5,15 @@ from ufcast.compose import (
     EnsembleForecaster,
     ReducedRegressionForecaster,
     TransformedTargetForecaster,
+    _prefix_cache_scope,
     tabularize,
 )
 from ufcast.core import TimeSeries
-from ufcast.exceptions import SeriesTooShortError, UnsupportedInSampleError
+from ufcast.exceptions import (
+    NonPositiveValuesError,
+    SeriesTooShortError,
+    UnsupportedInSampleError,
+)
 from ufcast.forecasters import (
     HoltForecaster,
     NaiveForecaster,
@@ -17,7 +22,10 @@ from ufcast.forecasters import (
 )
 from ufcast.regress import KNNRegressor, LinearRegressor
 from ufcast.transforms import (
+    BaseTransformer,
+    BoxCoxTransformer,
     Deseasonalizer,
+    Detrender,
     Standardizer,
     classical_decompose,
     seasonality_test,
@@ -245,3 +253,158 @@ class TestEnsemble:
         ])
         with pytest.raises(SeriesTooShortError):
             ens.fit((1.0, 2.0))
+
+
+class _Tagged(Standardizer):
+    """A standardizer with a hyper-parameter of any type."""
+
+    def __init__(self, tag=None):
+        self.tag = tag
+        super().__init__()
+
+
+@pytest.fixture
+def transformer_fits(monkeypatch):
+    """Every transformer whose ``fit`` runs, in call order."""
+    fits = []
+    fit = BaseTransformer.fit
+
+    def recording_fit(self, y):
+        fits.append(self)
+        return fit(self, y)
+
+    monkeypatch.setattr(BaseTransformer, "fit", recording_fit)
+    return fits
+
+
+def _reduction(window=12):
+    return TransformedTargetForecaster([
+        ("deseasonalize", Deseasonalizer()),
+        ("detrend", Detrender(PolynomialTrendForecaster(degree=1))),
+        ("standardize", Standardizer()),
+        ("forecast", ReducedRegressionForecaster(KNNRegressor(1), window)),
+    ])
+
+
+def _one_ulp_up(y, at):
+    values = y.values.copy()
+    values[at] = np.nextafter(values[at], np.inf)
+    return TimeSeries(values, y.start_index, y.sp)
+
+
+_Y = seasonal_series(72, sp=6, seed=21)
+
+
+class TestPrefixCache:
+    """Inside a scope a transformer is fitted once per (class,
+    hyper-parameters, input values, start_index, sp)."""
+
+    @staticmethod
+    def _fit_both(first, second, y_first, y_second=None):
+        if y_second is None:
+            y_second = y_first
+        with _prefix_cache_scope():
+            for step, y in ((first, y_first), (second, y_second)):
+                TransformedTargetForecaster(
+                    [("t", step), ("f", NaiveForecaster())]).fit(y)
+
+    @pytest.mark.parametrize("first, second, y_second", [
+        (Deseasonalizer(), Deseasonalizer(critical=2.0), None),
+        (Deseasonalizer(),
+         Deseasonalizer(critical=float(np.nextafter(1.645, 2.0))), None),
+        (Detrender(PolynomialTrendForecaster(degree=1)),
+         Detrender(PolynomialTrendForecaster(degree=2)), None),
+        (Standardizer(), Standardizer(),
+         TimeSeries(_Y.values, start_index=5, sp=6)),
+        (Standardizer(), Standardizer(), TimeSeries(_Y.values, sp=4)),
+        (Standardizer(), Standardizer(), _one_ulp_up(_Y, 40)),
+        (Deseasonalizer(), Deseasonalizer(), _one_ulp_up(_Y, 0)),
+    ], ids=["critical", "critical-ulp", "nested-degree", "start-index", "sp",
+            "ulp-apart", "ulp-apart-first"])
+    def test_any_difference_fits_again(self, transformer_fits, first, second,
+                                       y_second):
+        self._fit_both(first, second, _Y, y_second)
+        assert transformer_fits == [first, second]
+
+    def test_identical_step_and_input_fit_once(self, transformer_fits):
+        first = Detrender(PolynomialTrendForecaster(degree=1))
+        second = Detrender(PolynomialTrendForecaster(degree=1))
+        self._fit_both(first, second, _Y, TimeSeries(_Y.values.copy(), sp=6))
+        assert transformer_fits == [first]
+        assert second.is_fitted
+        assert second.forecaster_ is first.forecaster_
+        assert second.transform(_Y).values.tobytes() \
+            == first.transform(_Y).values.tobytes()
+
+    @pytest.mark.parametrize("tag", [object(), {"a": 1}, np.float32(1.0)],
+                             ids=["object", "dict", "numpy-scalar"])
+    def test_unkeyable_parameter_is_never_shared(self, transformer_fits, tag):
+        first, second = _Tagged(tag), _Tagged(tag)
+        second.tag = first.tag  # the very same value
+        self._fit_both(first, second, _Y)
+        assert transformer_fits == [first, second]
+
+    def test_unkeyable_step_leaves_the_rest_shared(self, transformer_fits):
+        with _prefix_cache_scope():
+            for _ in range(2):
+                TransformedTargetForecaster([
+                    Deseasonalizer(), _Tagged(object()), NaiveForecaster(),
+                ]).fit(_Y)
+        assert [type(t) for t in transformer_fits] \
+            == [Deseasonalizer, _Tagged, _Tagged]
+
+    def test_failed_fit_is_not_kept(self, transformer_fits):
+        values = _Y.values.copy()
+        values[3] = -1.0
+        with _prefix_cache_scope():
+            for _ in range(2):
+                with pytest.raises(NonPositiveValuesError):
+                    TransformedTargetForecaster(
+                        [BoxCoxTransformer(), NaiveForecaster()]).fit(values)
+        assert len(transformer_fits) == 2
+
+    def test_nothing_kept_outside_a_scope(self, transformer_fits):
+        for _ in range(2):
+            _reduction().fit(_Y)
+        assert len(transformer_fits) == 6
+
+    def test_inner_scope_joins_the_outer(self, transformer_fits):
+        with _prefix_cache_scope():
+            with _prefix_cache_scope():
+                _reduction().fit(_Y)
+            _reduction().fit(_Y)
+        assert len(transformer_fits) == 3
+
+    def test_refit_leaves_a_sharing_pipeline_unchanged(self,
+                                                       transformer_fits):
+        y = seasonal_series(96, sp=12, seed=11)
+        other = seasonal_series(96, sp=12, level=80.0, seed=12)
+        fh = [1, 2, 12, 30]
+
+        def state(pipe):
+            deseas, detrend, standardize = pipe._transformers
+            return (pipe.predict(fh).values.tobytes(),
+                    pipe.get_fitted_params(),
+                    deseas.indices_.indices.tobytes(),
+                    detrend.forecaster_.coef_.tobytes(),
+                    (standardize.mean_, standardize.std_))
+
+        with _prefix_cache_scope():
+            first = _reduction().fit(y)
+            second = _reduction(window=6).fit(y)
+            assert len(transformer_fits) == 3  # second fitted no step
+            shared = second._transformers[1].forecaster_
+            assert shared is first._transformers[1].forecaster_
+            before = state(second)
+            first.fit(other)
+            assert len(transformer_fits) == 6
+            assert first._transformers[1].forecaster_ is not shared
+            assert state(second) == before
+            # the scope still holds the fit on y, not the refit's
+            assert state(_reduction(window=6).fit(y)) == before
+            assert len(transformer_fits) == 6
+        # a fit after the scope closes fits every step again, to the same
+        # state
+        fresh = _reduction(window=6).fit(y)
+        assert len(transformer_fits) == 9
+        assert state(fresh) == before

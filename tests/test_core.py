@@ -369,6 +369,30 @@ class TestParams:
         assert [name for name, _ in pipe.steps] == ["standardizer",
                                                     "naiveforecaster"]
 
+    @pytest.mark.parametrize("child_first", [False, True],
+                             ids=["parent-first", "child-first"])
+    def test_param_names_are_per_class(self, child_first):
+        # fresh classes, so neither has read its names before
+        class Scaled(Standardizer):
+            def __init__(self, scale=2.0):
+                self.scale = scale
+                super().__init__()
+
+        class Shifted(Scaled):
+            def __init__(self, scale=2.0, shift=0.5):
+                self.shift = shift
+                super().__init__(scale)
+
+        classes = [Scaled, Shifted]
+        if child_first:
+            classes.reverse()
+        names = {cls: cls._param_names() for cls in classes}
+        assert names == {Scaled: ("scale",), Shifted: ("scale", "shift")}
+        assert Standardizer._param_names() == ()
+        assert all(type(n) is tuple for n in names.values())
+        assert Shifted(shift=1.0).get_params() == {"scale": 2.0, "shift": 1.0}
+        assert Scaled().clone().get_params() == {"scale": 2.0}
+
 
 class TestFittedParams:
     def test_requires_fit(self):

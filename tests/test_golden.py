@@ -7,13 +7,18 @@ results files byte for byte, once every runtime field is removed:
   and quarterly series (naive, smoothing, theta and their ensemble);
 * ``golden_reduction.jsonl``: ``LR-s``, ``KNN-Theta-bc`` and ``KNN-t-s`` on
   quarterly and monthly series (reduction, Theta as a detrender, window
-  grid search).
+  grid search);
+* ``golden_tuned.jsonl``: ``LR-t-s`` and ``KNN-Theta-bc-t`` on the same
+  quarterly and monthly series (the tuned refits, boosted on a Theta-bc
+  detrender).
 
 Any change that moves a forecast, a score or an aggregate by one bit fails
 here.  Regenerate only when an output change is intended (and explain it
 in the change log), from the repository root::
 
-    PYTHONPATH=src python -m tests.test_golden
+    PYTHONPATH=src python -m tests.test_golden [golden file name ...]
+
+With no names every golden file is rewritten.
 """
 
 import re
@@ -42,6 +47,8 @@ _GOLDENS = {
         ("Monthly", "M", 12, 18, (66, 78, 90), 700),
     ]),
 }
+_GOLDENS["golden_tuned.jsonl"] = (["LR-t-s", "KNN-Theta-bc-t"],
+                                  _GOLDENS["golden_reduction.jsonl"][1])
 
 
 def _write_inputs(root: Path, panels) -> None:
@@ -92,8 +99,14 @@ def test_reduction_run_matches_golden_bytes(tmp_path, jobs):
     assert golden_output(tmp_path, "golden_reduction.jsonl", jobs) == expected
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_tuned_run_matches_golden_bytes(tmp_path, jobs):
+    expected = _golden_path("golden_tuned.jsonl").read_text(encoding="utf-8")
+    assert golden_output(tmp_path, "golden_tuned.jsonl", jobs) == expected
+
+
 if __name__ == "__main__":
-    for name in _GOLDENS:
+    for name in sys.argv[1:] or _GOLDENS:
         with tempfile.TemporaryDirectory() as tmp:
             _golden_path(name).write_text(golden_output(Path(tmp), name),
                                           encoding="utf-8")

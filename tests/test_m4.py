@@ -31,6 +31,7 @@ from ufcast.m4.reports import render_cd_svg, stats_report
 from ufcast.m4 import runner
 from ufcast.m4.runner import RunManifest, dumps_17g, read_results, run
 from ufcast.regress import KNNRegressor
+from ufcast.transforms import BaseTransformer
 from tests.conftest import seasonal_series, write_m4_csv
 
 
@@ -519,6 +520,35 @@ class TestPerSeriesTasks:
         assert all(r["type"] == "record" for r in pooled)
         assert pooled == serial
         assert runner._EXTERNAL_REGRESSORS is None
+
+
+class TestTaskPrefixCache:
+    """A task's pipelines share their fitted transformers."""
+
+    MODELS = ["LR-s", "KNN-s", "LR-t-s", "KNN-t-s", "KNN-Theta-bc",
+              "KNN-Theta-bc-t", "Naive2"]
+
+    def test_each_distinct_transformer_fit_runs_once(self, monkeypatch):
+        fits = Counter()
+        fit = BaseTransformer.fit
+
+        def counting_fit(self, y):
+            params = sorted((k, repr(v)) for k, v in self.get_params().items())
+            fits[(type(self).__name__, repr(params), y.values.tobytes(),
+                  y.start_index, y.sp)] += 1
+            return fit(self, y)
+
+        monkeypatch.setattr(BaseTransformer, "fit", counting_fit)
+        spec = DATASETS["hourly"]
+        full = seasonal_series(n=168 + spec.horizon, sp=spec.sp, seed=77).values
+        task = ("hourly", spec.sp, spec.horizon, self.MODELS, "H1",
+                full[:168].tolist(), full[168:].tolist(), "as_formula", "max")
+        rows = runner._evaluate_series(task, None)
+        assert [r["type"] for r in rows] == ["record"] * len(self.MODELS)
+        by_class = Counter(key[0] for key in fits)
+        assert set(by_class) == {"Deseasonalizer", "BoxCoxTransformer",
+                                 "Detrender", "Standardizer"}
+        assert max(fits.values()) == 1
 
 
 class TestCompare:

@@ -227,6 +227,24 @@ class TestGridSearchSharedPrefix:
         assert fits == {"Deseasonalizer": 4, "Detrender": 4, "Standardizer": 4}
         assert not any(step.is_fitted for _, step in proto.steps)
 
+    def test_transformer_key_shares_what_it_does_not_reach(self,
+                                                           monkeypatch):
+        fits = Counter()
+        fit = BaseTransformer.fit
+
+        def counting_fit(self, y):
+            fits[type(self).__name__] += 1
+            return fit(self, y)
+
+        monkeypatch.setattr(BaseTransformer, "fit", counting_fit)
+        y = seasonal_series(60, sp=6, seed=1)
+        splits = len(list(self._cv().split(y)))
+        grid = {"deseasonalize.sp": [1, 6], "forecast.window_length": [2, 4]}
+        ForecastingGridSearch(_reduction_pipeline(), grid, self._cv()).fit(y)
+        # one fit per sp value and split, plus the refit; not one per
+        # candidate and split
+        assert fits["Deseasonalizer"] == 2 * splits + 1
+
     def _brute_force_report(self, grid, y):
         report = []
         for combo in itertools.product(*grid.values()):
