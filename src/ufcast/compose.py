@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import BaseEstimator, BaseForecaster, as_series
+from .core import BaseEstimator, BaseForecaster, _check_integer, as_series
 from .exceptions import SeriesTooShortError, UnsupportedInSampleError
 
 __all__ = [
@@ -68,6 +68,9 @@ class ReducedRegressionForecaster(BaseForecaster):
         self.window_length = window_length
         super().__init__()
 
+    def _validate(self):
+        _check_integer("window_length", self.window_length, 1)
+
     def _children(self):
         return {"regressor": self.regressor}
 
@@ -102,15 +105,16 @@ class ReducedRegressionForecaster(BaseForecaster):
         return {"n_windows": self.n_windows_}
 
 
-# (step key, input values bytes, start_index, sp) -> (fitted attributes,
-# transformed series); None outside any scope
+# (step key, input values bytes, start_index, sp) -> (fitted attributes of
+# each estimator in step._estimators(), the step's output: the transformed
+# series, or the input for a final step); None outside any scope
 _PREFIX_CACHE: contextvars.ContextVar = contextvars.ContextVar(
     "ufcast_prefix_cache", default=None)
 
 
 @contextlib.contextmanager
 def _prefix_cache_scope():
-    """Share fitted pipeline transformers until the outermost scope exits.
+    """Share fitted pipeline steps until the outermost scope exits.
 
     A scope opened inside another joins it.  Outside every scope pipelines
     fit each step and keep nothing.
@@ -152,6 +156,13 @@ def _estimator_key(estimator):
         for name in estimator._param_names())
 
 
+def _fitted_attributes(estimator) -> dict:
+    """The attributes of ``estimator`` other than its hyper-parameters."""
+    params = estimator._param_names()
+    return {name: value for name, value in vars(estimator).items()
+            if name not in params}
+
+
 def _named_steps(estimators, kind: str):
     """Normalise a list of estimators / (name, estimator) pairs."""
     named = []
@@ -180,16 +191,22 @@ class TransformedTargetForecaster(BaseForecaster):
     Transformers other than position-aware ones never see the horizon.
 
     Inside a prefix-cache scope (one per series in the benchmark runner,
-    one per grid search) each transformer is looked up by its class, its
-    hyper-parameters (nested estimators included) and the exact values,
-    ``start_index`` and ``sp`` of its input.  A hit takes on the fitted
-    attributes and the transformed series of the earlier fit, so a prefix
-    hit composes step by step: every pipeline of a series shares one
-    seasonal adjustment, and grid-search candidates share the steps no
-    grid key reaches.  Fits never change shared state in place (``fit``
-    rebinds attributes after ``_reset``); a failed fit is not kept, and a
-    step whose hyper-parameters hold anything but plain scalars, strings,
-    ``None``, lists, tuples and estimators is always fitted directly.
+    one per grid search) every step, the final forecaster included, is
+    looked up by its class, its hyper-parameters (nested estimators
+    included) and the exact values, ``start_index`` and ``sp`` of its
+    input.  A hit takes on the fitted attributes of the step and of each
+    estimator nested in it (a reduction's regressor, say), and for a
+    transformer the transformed series too, so hits compose step by step:
+    every pipeline of a series shares one seasonal adjustment, grid-search
+    candidates share the steps no grid key reaches, and an ensemble of
+    pipelines reuses the fits of the same pipelines run on their own.
+    Sharing is safe because ``fit`` and ``update`` only rebind the
+    object's own attributes (``fit`` after ``_reset``) and ``predict``
+    writes none, so no later call on one pipeline changes what another
+    sees.  A failed fit is not kept, and a step whose hyper-parameters
+    hold anything but plain scalars, strings, ``None``, lists, tuples and
+    estimators (a grid search's ``param_grid`` dict, say) is always fitted
+    directly.
 
     Steps may be given as estimators or (name, estimator) pairs; names are
     the path components for nested parameter access, e.g.
@@ -222,38 +239,29 @@ class TransformedTargetForecaster(BaseForecaster):
     def _final(self):
         return self.steps[-1][1]
 
-    @staticmethod
-    def _fit_transform_through(transformers, y):
-        """Fit each transformer on the output of the one before it and
-        return the last output (``y`` itself for no transformers).
-
-        Inside a prefix-cache scope a step fitted earlier on the same
-        input is not fitted again (see the class docstring)."""
+    def _fit(self, y):
         cache = _PREFIX_CACHE.get()
-        for transformer in transformers:
+        final = self._final
+        for _, step in self.steps:
             key = None
             if cache is not None:
                 try:
-                    key = (_estimator_key(transformer),
+                    key = (_estimator_key(step),
                            y.values.tobytes(), y.start_index, y.sp)
                 except _Unshareable:
                     pass
             if key is not None and key in cache:
                 fitted, y = cache[key]
-                transformer._reset()
-                vars(transformer).update(fitted)
+                for estimator, attributes in zip(step._estimators(), fitted):
+                    estimator._reset()
+                    vars(estimator).update(attributes)
                 continue
-            transformer.fit(y)
-            y = transformer.transform(y)
+            step.fit(y)
+            if step is not final:
+                y = step.transform(y)
             if key is not None:
-                params = transformer._param_names()
-                cache[key] = ({name: value for name, value
-                               in vars(transformer).items()
-                               if name not in params}, y)
-        return y
-
-    def _fit(self, y):
-        self._final.fit(self._fit_transform_through(self._transformers, y))
+                cache[key] = ([_fitted_attributes(estimator)
+                               for estimator in step._estimators()], y)
 
     def _predict_at_positions(self, positions):
         values = self._final._predict_at_positions(positions)
@@ -292,14 +300,10 @@ class EnsembleForecaster(BaseForecaster):
         for _, forecaster in self.forecasters:
             forecaster.fit(y)
 
-    @staticmethod
-    def _combine(forecasters, positions):
-        """Mean of fitted ``forecasters`` at ``positions``, over sorted values."""
-        stacked = np.stack([f._predict_at_positions(positions) for f in forecasters])
-        return np.sort(stacked, axis=0).mean(axis=0)
-
     def _predict_at_positions(self, positions):
-        return self._combine([f for _, f in self.forecasters], positions)
+        stacked = np.stack([f._predict_at_positions(positions)
+                            for _, f in self.forecasters])
+        return np.sort(stacked, axis=0).mean(axis=0)
 
     def _update_state(self, y_new):
         for _, forecaster in self.forecasters:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import inspect
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -310,6 +311,16 @@ class BaseEstimator:
             f"{k}={v!r}" for k, v in self.get_params(deep=False).items()
         )
         return f"{type(self).__name__}({params})"
+
+
+def _check_integer(name: str, value, minimum: int):
+    """Raise ValueError unless ``value`` is an integer of at least
+    ``minimum``.  Bools and integral floats (``2.0``) are refused: numpy
+    takes neither as a count, size or index."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _clone_value(value):

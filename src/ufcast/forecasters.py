@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy import optimize
 
-from .core import BaseForecaster, TimeSeries
+from .core import BaseForecaster, TimeSeries, _check_integer
 from .exceptions import OptimizerFailedError, UnsupportedInSampleError
 
 __all__ = [
@@ -54,6 +54,8 @@ class NaiveForecaster(BaseForecaster):
     def _validate(self):
         if self.strategy not in ("last", "seasonal_last"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.sp is not None:
+            _check_integer("sp", self.sp, 1)
 
     def _effective_sp(self, y: TimeSeries) -> int:
         return self.sp if self.sp is not None else y.sp
@@ -641,8 +643,7 @@ class PolynomialTrendForecaster(BaseForecaster):
         super().__init__()
 
     def _validate(self):
-        if self.degree < 0 or int(self.degree) != self.degree:
-            raise ValueError("degree must be a nonnegative integer")
+        _check_integer("degree", self.degree, 0)
 
     def _required_length(self, y):
         return self.degree + 1

@@ -5,8 +5,9 @@ Every in-scope recipe is assembled from the composition toolkit:
 * ``Naive`` / ``sNaive`` — plain naive forecasters.
 * ``Naive2`` — naive after conditional multiplicative seasonal adjustment.
 * ``SES`` / ``Holt`` / ``Damped`` — exponential smoothing behind the same
-  seasonal adjustment; ``Com`` is their mean ensemble (:data:`ENSEMBLES`),
-  which the runner builds from the component fits it already holds.
+  seasonal adjustment; ``Com`` is the :class:`EnsembleForecaster` of those
+  three pipelines (in a runner task they reuse the models' fits through
+  the prefix cache of :mod:`ufcast.compose`).
 * ``Theta`` — seasonal adjustment + the two-line theta core;
   ``Theta-bc`` adds a likelihood-fitted power transform in between.
 * ``{reg}`` / ``{reg}-s`` — reduction to tabular regression with linear
@@ -44,7 +45,7 @@ from ..regress import KNNRegressor, LinearRegressor
 from ..select import ForecastingGridSearch, SlidingWindowSplitter
 from ..transforms import BoxCoxTransformer, Deseasonalizer, Detrender, Standardizer
 
-__all__ = ["ENSEMBLES", "KNOWN_MODELS", "WINDOW_GRID", "build_model",
+__all__ = ["KNOWN_MODELS", "WINDOW_GRID", "build_model",
            "default_window_length"]
 
 WINDOW_GRID = [3, 4, 6, 8, 10, 12, 15, 18, 21, 24]
@@ -55,9 +56,6 @@ _REGRESSORS = {
 }
 _EXTERNAL_NAMES = ("RF", "XGB")
 _BOOSTABLE = ("KNN", "RF", "XGB")  # linear regression is excluded from boosting
-
-# ensemble name -> (component name, registry model) pairs
-ENSEMBLES = {"Com": (("ses", "SES"), ("holt", "Holt"), ("damped", "Damped"))}
 
 _STATISTICAL = (
     "Naive", "sNaive", "Naive2", "SES", "Holt", "Damped", "Com",
@@ -112,10 +110,8 @@ def build_model(name: str, sp: int, horizon: int, window_rule: str = "max",
     def deseas():
         return ("deseasonalize", Deseasonalizer(sp=sp))
 
-    def holt_pipeline(damped):
-        return TransformedTargetForecaster(
-            [deseas(), ("forecast", HoltForecaster(damped=damped))]
-        )
+    def adjusted(forecaster):
+        return TransformedTargetForecaster([deseas(), ("forecast", forecaster)])
 
     def theta_pipeline(box_cox):
         steps = [deseas()]
@@ -157,19 +153,18 @@ def build_model(name: str, sp: int, horizon: int, window_rule: str = "max",
     if name == "sNaive":
         return NaiveForecaster(strategy="seasonal_last", sp=sp)
     if name == "Naive2":
-        return TransformedTargetForecaster(
-            [deseas(), ("forecast", NaiveForecaster(strategy="last"))]
-        )
+        return adjusted(NaiveForecaster(strategy="last"))
     if name == "SES":
-        return TransformedTargetForecaster([deseas(), ("forecast", SESForecaster())])
+        return adjusted(SESForecaster())
     if name == "Holt":
-        return holt_pipeline(damped=False)
+        return adjusted(HoltForecaster(damped=False))
     if name == "Damped":
-        return holt_pipeline(damped=True)
-    if name in ENSEMBLES:
+        return adjusted(HoltForecaster(damped=True))
+    if name == "Com":
         return EnsembleForecaster([
-            (key, build_model(part, sp, horizon, window_rule, external_regressors))
-            for key, part in ENSEMBLES[name]
+            ("ses", adjusted(SESForecaster())),
+            ("holt", adjusted(HoltForecaster(damped=False))),
+            ("damped", adjusted(HoltForecaster(damped=True))),
         ])
     if name == "Theta":
         return theta_pipeline(box_cox=False)

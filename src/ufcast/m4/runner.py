@@ -1,11 +1,14 @@
 """Benchmark experiment runner.
 
-Work is a queue of (dataset, series) tasks.  A task fits each model it
-needs on the training series once, forecasts the full horizon, scores
-sMAPE and MASE and captures wall time, one row per requested model; an
-ensemble such as ``Com`` averages the component fits the task holds.  The
-task's pipelines share their fitted transformers: each task is one
-prefix-cache scope (see :class:`~ufcast.compose.TransformedTargetForecaster`).
+Work is a queue of (dataset, series) tasks.  A task builds, fits and
+forecasts each requested model on the training series in manifest order,
+scores sMAPE and MASE and captures wall time, one row per model.  Each
+task is one prefix-cache scope (see
+:class:`~ufcast.compose.TransformedTargetForecaster`), so its pipelines
+share every fitted step, the final forecaster included: ``Com``'s SES,
+Holt and Damped pipelines take the fits of those models.  A shared fit is
+timed in the row of the first model that needs it, so per-model runtimes
+depend on the manifest's model order; metric values do not.
 Per-series failures are recorded as data and never abort the run.  Results
 are JSON-lines — one record or error object per line, then one aggregate
 block — with all numbers rendered at 17 significant digits so identical
@@ -25,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..compose import EnsembleForecaster, _prefix_cache_scope
-from ..core import Forecast, ForecastingHorizon, TimeSeries
+from ..compose import _prefix_cache_scope
+from ..core import ForecastingHorizon, TimeSeries
 from ..evaluation import EvalRecord, mase, mean_ranks, owa, rank_models, smape
 from ..exceptions import FIT_ERRORS
 from .datasets import DATASETS, load_m4, natural_key, resolve_paths
-from .registry import ENSEMBLES, build_model
+from .registry import build_model
 
 __all__ = ["RunManifest", "run", "read_results", "dumps_17g"]
 
@@ -97,40 +100,16 @@ def _evaluate_series(task: tuple, external_regressors: dict | None) -> list:
     train = TimeSeries(train_vals, start_index=0, sp=sp)
     test = TimeSeries(test_vals, start_index=len(train_vals), sp=sp)
     fh = ForecastingHorizon.out_to(horizon)
-    fits = {}  # model -> fitted forecaster, or the error its fit raised
-
-    def fitted(model):
-        if model not in fits:
-            try:
-                fits[model] = build_model(
-                    model, sp=sp, horizon=horizon, window_rule=window_rule,
-                    external_regressors=external_regressors,
-                ).fit(train)
-            except FIT_ERRORS as exc:
-                fits[model] = exc
-        if isinstance(fits[model], Exception):
-            raise fits[model]
-        return fits[model]
-
-    def forecast(model):
-        if model not in ENSEMBLES:
-            return fitted(model).predict(fh)
-        # as EnsembleForecaster: every component fit, then their
-        # predictions, then the finite check on the mean
-        parts = [fitted(part) for _, part in ENSEMBLES[model]]
-        values = EnsembleForecaster._combine(
-            parts, fh.to_absolute(train.end_index))
-        return Forecast(fh, values, cutoff=train.end_index)
-
     rows = []
-    # components first, so a shared fit is timed in the component's row;
-    # a transformer shared between pipelines is timed in the first one's
     with _prefix_cache_scope():
-        for model in sorted(models, key=lambda m: m in ENSEMBLES):
+        for model in models:
             head = {"dataset": dataset, "series_id": sid, "model": model}
             started = time.perf_counter()
             try:
-                values = forecast(model).values
+                values = build_model(
+                    model, sp=sp, horizon=horizon, window_rule=window_rule,
+                    external_regressors=external_regressors,
+                ).fit(train).predict(fh).values
                 runtime = time.perf_counter() - started
                 row = {"type": "record", **head,
                        "smape": smape(test.values, values),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BaseEstimator
+from .core import BaseEstimator, _check_integer
 from .exceptions import DimensionMismatchError, KTooLargeError
 
 __all__ = ["LinearRegressor", "KNNRegressor"]
@@ -115,8 +115,7 @@ class KNNRegressor(BaseEstimator):
         super().__init__()
 
     def _validate(self):
-        if self.k < 1 or int(self.k) != self.k:
-            raise ValueError("k must be a positive integer")
+        _check_integer("k", self.k, 1)
 
     def fit(self, X, y) -> "KNNRegressor":
         self._reset()

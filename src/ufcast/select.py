@@ -116,9 +116,10 @@ class ForecastingGridSearch(BaseForecaster):
     :class:`~ufcast.compose.TransformedTargetForecaster`, a transformer
     whose input and hyper-parameters do not depend on the candidate (every
     step before the first one a grid key reaches) is fitted once per split
-    and shared by all candidates, and the refit shares the prefix of any
-    earlier fit on the same series.  Scores, report and refit are exactly
-    those of fitting every candidate pipeline whole.
+    and shared by all candidates, and the refit shares the steps of any
+    earlier fit on the same series, its final forecaster too.  Scores,
+    report and refit are exactly those of fitting every candidate pipeline
+    whole.
     """
 
     def __init__(self, forecaster, param_grid: dict, cv, scoring=None):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .core import BaseEstimator, TimeSeries, as_series
+from .core import BaseEstimator, TimeSeries, _check_integer, as_series
 from .exceptions import (
     NonPositiveValuesError,
     SeriesTooShortError,
@@ -160,6 +160,10 @@ class Deseasonalizer(BaseTransformer):
         self.critical = critical
         self.min_cycles = min_cycles
         super().__init__()
+
+    def _validate(self):
+        if self.sp is not None:
+            _check_integer("sp", self.sp, 1)
 
     def _fit(self, y):
         sp = self.sp if self.sp is not None else y.sp

@@ -8,7 +8,7 @@ from ufcast.compose import (
     _prefix_cache_scope,
     tabularize,
 )
-from ufcast.core import TimeSeries
+from ufcast.core import BaseForecaster, TimeSeries
 from ufcast.exceptions import (
     NonPositiveValuesError,
     SeriesTooShortError,
@@ -21,6 +21,7 @@ from ufcast.forecasters import (
     SESForecaster,
 )
 from ufcast.regress import KNNRegressor, LinearRegressor
+from ufcast.select import ForecastingGridSearch, SlidingWindowSplitter
 from ufcast.transforms import (
     BaseTransformer,
     BoxCoxTransformer,
@@ -408,3 +409,110 @@ class TestPrefixCache:
         fresh = _reduction(window=6).fit(y)
         assert len(transformer_fits) == 9
         assert state(fresh) == before
+
+
+@pytest.fixture
+def forecaster_fits(monkeypatch):
+    """Every forecaster whose ``fit`` runs, in call order."""
+    fits = []
+    fit = BaseForecaster.fit
+
+    def recording_fit(self, y, fh=None):
+        fits.append(self)
+        return fit(self, y, fh)
+
+    monkeypatch.setattr(BaseForecaster, "fit", recording_fit)
+    return fits
+
+
+_FINALS = {
+    "SES": SESForecaster,
+    "Holt": lambda: HoltForecaster(damped=True),
+    "KNN": lambda: ReducedRegressionForecaster(KNNRegressor(1), 6),
+    "LR": lambda: ReducedRegressionForecaster(LinearRegressor(), 6),
+}
+
+
+def _adjusted(final):
+    steps = [("deseasonalize", Deseasonalizer())]
+    if isinstance(final, ReducedRegressionForecaster):
+        steps += [("detrend", Detrender(PolynomialTrendForecaster(degree=1))),
+                  ("standardize", Standardizer())]
+    return TransformedTargetForecaster(steps + [("forecast", final)])
+
+
+def _shares_fit(first, second):
+    """Whether ``second`` and its nested estimators hold the very fitted
+    attributes of ``first`` and its nested estimators."""
+    for ours, theirs in zip(first._estimators(), second._estimators()):
+        for name, value in vars(ours).items():
+            if name not in ours._param_names() \
+                    and vars(theirs).get(name) is not value:
+                return False
+    return True
+
+
+class TestSharedFinalStep:
+    """Inside a scope the final step is looked up like the transformers
+    before it: fitted, not transformed, and shared whole, the fitted state
+    of its nested estimators included."""
+
+    @pytest.mark.parametrize("final", list(_FINALS))
+    def test_identical_pipelines_fit_the_final_once(self, forecaster_fits,
+                                                    final):
+        with _prefix_cache_scope():
+            first = _adjusted(_FINALS[final]()).fit(_Y)
+            second = _adjusted(_FINALS[final]()).fit(_Y)
+        finals = [f for f in forecaster_fits
+                  if type(f) is type(first._final)]
+        assert finals == [first._final]
+        assert second._final.is_fitted
+        fh = [-2, 1, 5, 13]
+        if final in ("KNN", "LR"):
+            fh = fh[1:]  # no full window before the cutoff
+        assert second.predict(fh).values.tobytes() \
+            == first.predict(fh).values.tobytes()
+
+    @pytest.mark.parametrize("final", ["KNN", "LR"])
+    def test_nested_fitted_state_travels_with_the_final(self, final):
+        with _prefix_cache_scope():
+            first = _adjusted(_FINALS[final]()).fit(_Y)
+            second = _adjusted(_FINALS[final]()).fit(_Y)
+        assert second._final.regressor is not first._final.regressor
+        assert second._final.regressor.is_fitted
+        assert _shares_fit(first._final, second._final)
+
+    @pytest.mark.parametrize("update_params", [False, True],
+                             ids=["state", "refit"])
+    @pytest.mark.parametrize("final", list(_FINALS))
+    def test_update_leaves_a_sharing_pipeline_unchanged(self, final,
+                                                        update_params):
+        y = seasonal_series(96, sp=12, seed=11)
+        train, new = y.islice(0, 84), y.islice(84, 96)
+        fh = [1, 2, 12, 30]
+        with _prefix_cache_scope():
+            first = _adjusted(_FINALS[final]()).fit(train)
+            second = _adjusted(_FINALS[final]()).fit(train)
+            assert _shares_fit(first._final, second._final)
+            before = second.predict(fh).values.tobytes()
+            first.update(new, update_params=update_params)
+            assert second.predict(fh).values.tobytes() == before
+            # and the update itself is that of an unshared pipeline
+        alone = _adjusted(_FINALS[final]()).fit(train)
+        alone.update(new, update_params=update_params)
+        assert first.predict(fh).values.tobytes() \
+            == alone.predict(fh).values.tobytes()
+
+    def test_grid_search_final_is_never_shared(self, forecaster_fits):
+        def tuned():
+            cv = SlidingWindowSplitter(window_length=1, fh=[1, 2, 3],
+                                       mode="single")
+            return _adjusted(ForecastingGridSearch(
+                SESForecaster(), {"alpha": [0.2, 0.5]}, cv))
+
+        with _prefix_cache_scope():
+            first, second = tuned().fit(_Y), tuned().fit(_Y)
+        searches = [f for f in forecaster_fits
+                    if isinstance(f, ForecastingGridSearch)]
+        # the dict-valued param_grid cannot be keyed exactly
+        assert searches == [first._final, second._final]

@@ -24,7 +24,7 @@ from ufcast.compose import (
 )
 from ufcast.regress import KNNRegressor, LinearRegressor
 from ufcast.select import ForecastingGridSearch, SlidingWindowSplitter
-from ufcast.transforms import Standardizer
+from ufcast.transforms import Deseasonalizer, Standardizer
 from tests.conftest import seasonal_series
 
 
@@ -335,6 +335,41 @@ class TestParams:
         with pytest.raises(ValueError):
             est.set_params(**params)
         assert est.get_params() == before
+
+    @pytest.mark.parametrize("make, params", [
+        (NaiveForecaster, {"strategy": "seasonal_last", "sp": 0}),
+        (NaiveForecaster, {"sp": 2.0}),
+        (PolynomialTrendForecaster, {"degree": 1.0}),
+        (PolynomialTrendForecaster, {"degree": -1}),
+        (Deseasonalizer, {"sp": 2.5}),
+        (Deseasonalizer, {"sp": 0}),
+        (KNNRegressor, {"k": 2.0}),
+        (KNNRegressor, {"k": True}),
+        (lambda **kw: ReducedRegressionForecaster(KNNRegressor(1), **kw),
+         {"window_length": 2.0}),
+    ], ids=["naive-sp-0", "naive-sp-float", "trend-degree-float",
+            "trend-degree-negative", "deseasonalize-sp-float",
+            "deseasonalize-sp-0", "knn-k-float", "knn-k-bool",
+            "window-float"])
+    def test_counts_must_be_integers(self, make, params):
+        # accepted, a float count or an sp of 0 fails later inside numpy
+        # with an IndexError or TypeError, which a run does not record
+        with pytest.raises(ValueError):
+            make(**params)
+        est = make()
+        before = est.get_params()
+        with pytest.raises(ValueError):
+            est.set_params(**params)
+        assert est.get_params() == before
+
+    def test_numpy_integer_counts_are_accepted(self):
+        four = np.int64(4)
+        y = seasonal_series(24, sp=4, seed=3)
+        assert NaiveForecaster("seasonal_last", sp=four).fit(y).predict(
+            [1, 2]).values.tolist() == y.values[-4:-2].tolist()
+        assert Deseasonalizer(sp=four).fit(y).is_fitted
+        assert PolynomialTrendForecaster(np.int64(1)).fit(y).is_fitted
+        assert KNNRegressor(k=np.int64(2)).k == 2
 
     def test_rejected_set_params_leaves_a_usable_estimator(self):
         X, y = np.eye(3), np.array([1.0, 2.0, 3.0])

@@ -1,7 +1,8 @@
 """Byte-identity gates for the benchmark runner.
 
-Two short runs over small synthetic series must reproduce their committed
-results files byte for byte, once every runtime field is removed:
+Three short runs over small synthetic series must reproduce their
+committed results files byte for byte, once every runtime field is
+removed:
 
 * ``golden_run.jsonl``: the default ``ufcast-m4 run`` model list on yearly
   and quarterly series (naive, smoothing, theta and their ensemble);

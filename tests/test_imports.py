@@ -1,12 +1,15 @@
-"""No package module imports a name it never uses.
+"""No package module imports a name it never uses, or exports a name it
+does not define.
 
 No linter ships with the test environment, so this scans each module's
 top-level imports with ``ast`` instead.  A name counts as used when the
 module reads it anywhere (string annotations included) or lists it in
-``__all__``; ``from __future__`` imports are directives, not names.
+``__all__``; ``from __future__`` imports are directives, not names.  Every
+name in ``__all__`` must be an attribute of the imported module.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -70,6 +73,16 @@ def unused_imports(source: str) -> list[str]:
     "module", MODULES, ids=[str(m.relative_to(SRC)) for m in MODULES])
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "module", MODULES, ids=[str(m.relative_to(SRC)) for m in MODULES])
+def test_every_exported_name_is_defined(module):
+    name = ".".join(module.relative_to(SRC).with_suffix("").parts)
+    imported = importlib.import_module(name.removesuffix(".__init__"))
+    missing = [n for n in getattr(imported, "__all__", ())
+               if not hasattr(imported, n)]
+    assert missing == []
 
 
 def test_scanner_flags_only_unused_names():

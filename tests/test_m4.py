@@ -1,11 +1,16 @@
 import functools
 import json
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from ufcast.compose import EnsembleForecaster, TransformedTargetForecaster
+from ufcast.compose import (
+    EnsembleForecaster,
+    ReducedRegressionForecaster,
+    TransformedTargetForecaster,
+)
 from ufcast.core import ForecastingHorizon, TimeSeries
 from ufcast.evaluation import mase, smape
 from ufcast.exceptions import (
@@ -412,6 +417,10 @@ def quarterly_dir(tmp_path):
     return tmp_path
 
 
+# every runtime field follows another key, so it is always ", "-prefixed
+_RUNTIME_FIELD = re.compile(r', "(?:total_)?runtime_s": [-+0-9.eE]+')
+
+
 def _run_rows(directory, models, jobs=1, external_regressors=None):
     """Rows of a quarterly run, each without its runtime."""
     out = directory / f"r{jobs}.jsonl"
@@ -446,8 +455,8 @@ def _standalone_row(model, directory, sid):
 
 
 class TestPerSeriesTasks:
-    """One task runs every model on one series; ``Com`` averages the SES,
-    Holt and Damped fits the task already holds."""
+    """One task runs every model on one series; ``Com``'s SES, Holt and
+    Damped pipelines take the fits those models made in the same task."""
 
     def _assert_standalone(self, rows, directory, model="Com"):
         got = [r for r in rows if r["model"] == model]
@@ -511,6 +520,28 @@ class TestPerSeriesTasks:
         assert calls == {"HoltForecaster": 2 * len(_QUARTERLY),
                          "SESForecaster": len(_QUARTERLY)}
 
+    def test_model_order_does_not_change_the_output(self, quarterly_dir):
+        models = _DEFAULT_MODELS.split(",")
+        outputs = []
+        for name, order in (("default", models), ("reversed", models[::-1])):
+            out = quarterly_dir / f"{name}.jsonl"
+            run(RunManifest(datasets=["quarterly"], models=order,
+                            train_dir=str(quarterly_dir),
+                            test_dir=str(quarterly_dir), out_path=str(out)))
+            *rows, aggregate = _RUNTIME_FIELD.sub(
+                "", out.read_text()).splitlines()
+            outputs.append((rows, json.loads(aggregate)))
+        (rows, aggregate), (rows_reversed, aggregate_reversed) = outputs
+        # Com before its components makes the same rows, byte for byte
+        assert rows_reversed == rows
+        assert aggregate_reversed["manifest"]["models"] == models[::-1]
+        aggregate_reversed["manifest"]["models"] = models
+        entries = aggregate["datasets"]["quarterly"]["models"]
+        entries_reversed = aggregate_reversed["datasets"]["quarterly"]["models"]
+        assert list(entries_reversed) == models[::-1]
+        assert {m: dumps_17g(e) for m, e in entries_reversed.items()} \
+            == {m: dumps_17g(e) for m, e in entries.items()}
+
     def test_external_regressors_reach_pool_workers(self, quarterly_dir):
         external = {"RF": functools.partial(KNNRegressor, k=2)}
         serial = _run_rows(quarterly_dir, ["RF", "RF-s"], jobs=1,
@@ -523,7 +554,7 @@ class TestPerSeriesTasks:
 
 
 class TestTaskPrefixCache:
-    """A task's pipelines share their fitted transformers."""
+    """A task's pipelines share their fitted steps."""
 
     MODELS = ["LR-s", "KNN-s", "LR-t-s", "KNN-t-s", "KNN-Theta-bc",
               "KNN-Theta-bc-t", "Naive2"]
@@ -549,6 +580,30 @@ class TestTaskPrefixCache:
         assert set(by_class) == {"Deseasonalizer", "BoxCoxTransformer",
                                  "Detrender", "Standardizer"}
         assert max(fits.values()) == 1
+
+    def test_non_seasonal_reductions_share_their_final_fits(self,
+                                                            monkeypatch):
+        fits = []
+        fit = ReducedRegressionForecaster.fit
+
+        def recording_fit(self, y, fh=None):
+            fits.append(self)
+            return fit(self, y, fh)
+
+        monkeypatch.setattr(ReducedRegressionForecaster, "fit", recording_fit)
+        spec = DATASETS["yearly"]
+        full = seasonal_series(n=30 + spec.horizon, sp=1, seed=5).values
+        models = ["LR", "KNN", "LR-s", "KNN-s"]
+        task = ("yearly", spec.sp, spec.horizon, models, "Y1",
+                full[:30].tolist(), full[30:].tolist(), "as_formula", "max")
+        rows = {r["model"]: r for r in runner._evaluate_series(task, None)}
+        # with sp 1 the seasonal adjustment is the identity, so LR-s and
+        # KNN-s take the reductions LR and KNN fitted
+        assert len(fits) == 2
+        for model in ("LR", "KNN"):
+            assert rows[model]["type"] == "record"
+            assert (rows[f"{model}-s"]["smape"], rows[f"{model}-s"]["mase"]) \
+                == (rows[model]["smape"], rows[model]["mase"])
 
 
 class TestCompare:
