@@ -42,10 +42,9 @@ class LaggedTable:
 
 def tabularize(y, window_length: int) -> LaggedTable:
     """Stack sliding windows of a series into a regression table."""
+    _check_integer("window_length", window_length, 1)
     y = as_series(y)
     w = int(window_length)
-    if w < 1:
-        raise ValueError("window_length must be >= 1")
     if len(y) < w + 1:
         raise SeriesTooShortError(w + 1, len(y), "tabularization")
     X = sliding_window_view(y.values, w)[:-1].copy()

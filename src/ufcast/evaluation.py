@@ -176,10 +176,9 @@ def rank_models(records, metric: str = "smape") -> RankMatrix:
         raise IncompleteGridError(
             f"{len(missing)} missing (model, series) cells, e.g. {missing[0]}"
         )
-    ranks = np.empty((len(series), len(models)))
-    for i, s in enumerate(series):
-        row = np.array([scores[(m, s)] for m in models])
-        ranks[i] = spstats.rankdata(row, method="average")
+    table = np.array([scores[(m, s)] for s in series for m in models],
+                     dtype=float).reshape(len(series), len(models))
+    ranks = spstats.rankdata(table, method="average", axis=1)
     return RankMatrix(models=models, series=series, ranks=ranks)
 
 

@@ -2,15 +2,14 @@
 
 Splits never let validation indices precede their training window, and a
 series too short for a single split yields an empty iterator rather than
-an error.  Grid search scores every candidate over the splits (default
-scoring: symmetric MAPE, lower is better), picks the minimum with ties
-broken by enumeration order, and refits the winner on the full series.
-Every candidate is fitted whole on every split.  A grid search runs inside
-a prefix-cache scope (see
-:class:`~ufcast.compose.TransformedTargetForecaster`), so pipeline
-candidates fit each transformer that no grid key reaches once per split,
-and the refit reuses the transformers of an earlier fit on the full
-series.
+an error.  Grid search scores the candidates one at a time, each over
+every split (default scoring: symmetric MAPE, lower is better), picks the
+minimum with ties broken by enumeration order, and refits the winning
+candidate on the full series.  The search runs inside a prefix-cache
+scope (see :class:`~ufcast.compose.TransformedTargetForecaster`), so
+pipeline candidates share every step that no grid key reaches, whatever
+order the fits come in, and the refit reuses the steps of an earlier fit
+on the full series.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ import itertools
 import numpy as np
 
 from .compose import _prefix_cache_scope
-from .core import BaseForecaster, TimeSeries, as_horizon, as_series
+from .core import (BaseForecaster, TimeSeries, _check_integer, as_horizon,
+                   as_series)
 from .evaluation import smape
 from .exceptions import FIT_ERRORS, AllCandidatesFailedError
 
@@ -49,10 +49,8 @@ class SlidingWindowSplitter:
 
     def __init__(self, window_length: int = 10, fh=1, step_length: int = 1,
                  mode: str = "sliding"):
-        if window_length < 1:
-            raise ValueError("window_length must be >= 1")
-        if step_length < 1:
-            raise ValueError("step_length must be >= 1")
+        _check_integer("window_length", window_length, 1)
+        _check_integer("step_length", step_length, 1)
         if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}")
         fh = as_horizon(fh)
@@ -102,24 +100,26 @@ class SlidingWindowSplitter:
 class ForecastingGridSearch(BaseForecaster):
     """Grid-search cross-validation over a forecaster's parameter grid.
 
-    For every grid candidate the prototype forecaster is cloned,
-    re-parameterised (dotted paths reach nested components), fitted on
-    each training window and scored on the validation positions; the
-    candidate with the smallest mean score wins, ties going to the
-    earliest candidate in enumeration order (keys in insertion order,
-    last key varying fastest).  A failing candidate scores infinity; only
-    all candidates failing is an error.  The winner is refitted on the
-    full series.
+    Every grid candidate is first built by cloning the prototype forecaster
+    and re-parameterising the clone (dotted paths reach nested components),
+    so an unknown key or a rejected value fails before anything is fitted.
+    Then the candidates are scored one at a time: a candidate is fitted on
+    each training window and scored on the validation positions, and its
+    first failure scores it infinity and skips its remaining splits.  The
+    candidate with the smallest mean score wins, ties going to the earliest
+    in enumeration order (keys in insertion order, last key varying
+    fastest); only all candidates failing is an error.  The winning
+    candidate itself is then refitted on the full series.
 
     The search runs in a prefix-cache scope, joining one already open (the
     benchmark runner opens one per series).  So when the prototype is a
-    :class:`~ufcast.compose.TransformedTargetForecaster`, a transformer
-    whose input and hyper-parameters do not depend on the candidate (every
-    step before the first one a grid key reaches) is fitted once per split
-    and shared by all candidates, and the refit shares the steps of any
-    earlier fit on the same series, its final forecaster too.  Scores,
-    report and refit are exactly those of fitting every candidate pipeline
-    whole.
+    :class:`~ufcast.compose.TransformedTargetForecaster`, a step whose
+    input and hyper-parameters do not depend on the candidate (every step
+    before the first one a grid key reaches) is fitted once per split and
+    shared by all candidates, whatever order the fits come in, and the
+    refit shares the steps of any earlier fit on the same series, its
+    final forecaster too.  Scores, report and refit are exactly those of
+    fitting every candidate pipeline whole.
     """
 
     def __init__(self, forecaster, param_grid: dict, cv, scoring=None):
@@ -137,68 +137,44 @@ class ForecastingGridSearch(BaseForecaster):
     def _children(self):
         return {"forecaster": self.forecaster}
 
-    def _candidates(self):
-        names = list(self.param_grid)
-        for combo in itertools.product(*(self.param_grid[n] for n in names)):
-            yield dict(zip(names, combo))
-
     def _fit(self, y):
         candidates = []
-        for params in self._candidates():
+        for combo in itertools.product(*self.param_grid.values()):
+            params = dict(zip(self.param_grid, combo))
             candidate = self.forecaster.clone()
             candidate.set_params(**params)  # UnknownParameterError propagates
-            candidates.append(candidate)
+            candidates.append((params, candidate))
+        scoring = self.scoring if self.scoring is not None else smape
+        fh = as_horizon(self.cv.fh)
+        splits = [(y.islice(int(train[0]), int(train[-1] + 1)), y.values[test])
+                  for train, test in self.cv.split(y)]
+        self.report_ = []
+        best_params = best = None
+        best_score = np.inf
         with _prefix_cache_scope():
-            evaluated = self._evaluate(candidates, y)
-            report = []
-            best_score = np.inf
-            best_params = None
-            for params, (score, n_errors) in zip(self._candidates(), evaluated):
-                report.append({"params": dict(params), "mean_score": score,
-                               "n_errors": n_errors})
+            for params, candidate in candidates:
+                scores = []
+                n_errors = 0
+                try:
+                    for train, actual in splits:
+                        forecast = candidate.fit(train).predict(fh)
+                        scores.append(float(scoring(actual, forecast.values)))
+                except FIT_ERRORS:  # the first failure skips later splits
+                    n_errors = 1
+                score = float(np.mean(scores)) if scores else np.inf
+                if n_errors or not np.isfinite(score):
+                    score = np.inf
+                self.report_.append({"params": params, "mean_score": score,
+                                     "n_errors": n_errors})
                 if score < best_score:
-                    best_score = score
-                    best_params = params
-            self.report_ = report
-            if best_params is None:
+                    best_params, best, best_score = params, candidate, score
+            if best is None:
                 raise AllCandidatesFailedError(
                     "no candidate produced a finite validation score"
                 )
             self.best_params_ = dict(best_params)
-            self.best_score_ = float(best_score)
-            self.best_forecaster_ = self.forecaster.clone()
-            self.best_forecaster_.set_params(**best_params)
-            self.best_forecaster_.fit(y)
-
-    def _evaluate(self, candidates, y):
-        """(mean score, n_errors) of each candidate over the cv splits.
-
-        Each candidate is fitted on each training window and scored on the
-        forecast of the validation steps.  A candidate's first failure
-        scores it infinity and skips its later splits.
-        """
-        scoring = self.scoring if self.scoring is not None else smape
-        fh = as_horizon(self.cv.fh)
-        scores = [[] for _ in candidates]
-        failed = [False] * len(candidates)
-        for train_pos, test_pos in self.cv.split(y):
-            train = y.islice(int(train_pos[0]), int(train_pos[-1] + 1))
-            actual = y.values[test_pos]
-            for i, candidate in enumerate(candidates):
-                if failed[i]:
-                    continue
-                try:
-                    forecast = candidate.fit(train).predict(fh)
-                    scores[i].append(float(scoring(actual, forecast.values)))
-                except FIT_ERRORS:
-                    failed[i] = True
-        out = []
-        for split_scores, error in zip(scores, failed):
-            mean = float(np.mean(split_scores)) if split_scores else np.inf
-            if error or not np.isfinite(mean):
-                mean = np.inf
-            out.append((mean, int(error)))
-        return out
+            self.best_score_ = best_score
+            self.best_forecaster_ = best.fit(y)
 
     def _predict_at_positions(self, positions):
         return self.best_forecaster_._predict_at_positions(positions)

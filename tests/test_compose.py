@@ -50,6 +50,16 @@ class TestTabularize:
         with pytest.raises(SeriesTooShortError):
             tabularize((1.0, 2.0, 3.0), 3)
 
+    @pytest.mark.parametrize("window_length", [2.7, 2.0, True, 0])
+    def test_non_integer_window_rejected(self, window_length):
+        with pytest.raises(ValueError):
+            tabularize([1, 2, 3, 4, 5, 6], window_length)
+
+    def test_numpy_integer_window(self):
+        table = tabularize([1, 2, 3, 4, 5, 6], np.int64(2))
+        assert table.X.shape == (4, 2)
+        assert table.window_length == 2
+
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(0)
         y = rng.normal(size=17)

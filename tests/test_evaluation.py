@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy import special
+from scipy import stats
 
 from ufcast.evaluation import (
     EvalRecord,
@@ -340,3 +341,28 @@ class TestRanks:
         recs = records("a", [1.0, 2.0]) + records("b", [1.0])
         with pytest.raises(IncompleteGridError):
             rank_models(recs)
+
+    def test_matches_per_series_rankdata(self):
+        """Property: each row of the rank matrix is scipy's ranking of that
+        series alone, bit for bit, ties included."""
+        rng = np.random.default_rng(13)
+        for trial in range(300):
+            n_series = int(rng.integers(1, 12))
+            n_models = int(rng.integers(1, 8))
+            if trial % 2:
+                table = rng.integers(0, 4, size=(n_series, n_models)) / 4.0
+            else:
+                table = rng.normal(size=(n_series, n_models))
+            recs = [EvalRecord(f"s{i:02d}", f"m{j}", smape=float(table[i, j]),
+                               mase=1.0)
+                    for j in range(n_models) for i in range(n_series)]
+            matrix = rank_models(recs)
+            expected = np.array([stats.rankdata(row, method="average")
+                                 for row in table])
+            assert matrix.ranks.shape == (n_series, n_models), trial
+            assert np.array_equal(matrix.ranks, expected), trial
+
+    def test_no_records_gives_empty_matrix(self):
+        matrix = rank_models([])
+        assert matrix.models == [] and matrix.series == []
+        assert matrix.ranks.shape == (0, 0)

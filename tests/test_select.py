@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ufcast.core import TimeSeries
+from ufcast.core import BaseForecaster, TimeSeries
 from ufcast.evaluation import smape
 from ufcast.exceptions import (
     FIT_ERRORS,
@@ -68,6 +68,21 @@ class TestSplitter:
         a = [(x.tolist(), y.tolist()) for x, y in cv.split(40)]
         b = [(x.tolist(), y.tolist()) for x, y in cv.split(40)]
         assert a == b
+
+    @pytest.mark.parametrize("counts", [
+        {"window_length": 2.5}, {"window_length": 2.0},
+        {"window_length": True}, {"window_length": 0},
+        {"step_length": 1.5}, {"step_length": True}, {"step_length": 0},
+    ], ids=str)
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ValueError):
+            SlidingWindowSplitter(fh=1, **counts)
+
+    def test_numpy_integer_counts(self):
+        cv = SlidingWindowSplitter(window_length=np.int64(3), fh=1,
+                                   step_length=np.int64(2))
+        got = [(a.tolist(), b.tolist()) for a, b in cv.split(7)]
+        assert got == [([0, 1, 2], [3]), ([2, 3, 4], [5])]
 
     def test_sparse_horizon_positions(self):
         cv = SlidingWindowSplitter(window_length=3, fh=[2, 4], mode="single")
@@ -172,6 +187,47 @@ class TestGridSearch:
         gs = ForecastingGridSearch(SESForecaster(), {"bogus": [1]}, self._cv())
         with pytest.raises(UnknownParameterError):
             gs.fit(y)
+
+    def test_invalid_grid_value_fails_before_any_fit(self, monkeypatch):
+        fits = Counter()
+        fit = BaseForecaster.fit
+
+        def counting_fit(self, y, fh=None):
+            fits[type(self).__name__] += 1
+            return fit(self, y, fh)
+
+        monkeypatch.setattr(BaseForecaster, "fit", counting_fit)
+        gs = ForecastingGridSearch(
+            ReducedRegressionForecaster(LinearRegressor(), 2),
+            {"window_length": [2, 2.5]}, self._cv(),
+        )
+        with pytest.raises(ValueError):
+            gs.fit(seasonal_series(40, sp=4, seed=9))
+        assert fits == {"ForecastingGridSearch": 1}
+
+    def test_failed_candidate_skips_its_later_splits(self, monkeypatch):
+        windows = Counter()
+        fit = BaseForecaster.fit
+
+        def counting_fit(self, y, fh=None):
+            if isinstance(self, ReducedRegressionForecaster):
+                windows[self.window_length] += 1
+            return fit(self, y, fh)
+
+        monkeypatch.setattr(BaseForecaster, "fit", counting_fit)
+        y = seasonal_series(50, sp=5, seed=10)
+        cv = SlidingWindowSplitter(window_length=20, fh=[1, 2], step_length=5)
+        splits = len(list(cv.split(y)))
+        assert splits == 6
+        gs = ForecastingGridSearch(
+            ReducedRegressionForecaster(LinearRegressor(), 2),
+            {"window_length": [2, 25, 3]},  # 25 cannot fit a 20-point window
+            cv,
+        ).fit(y)
+        expected = {2: splits, 25: 1, 3: splits}
+        expected[gs.best_params_["window_length"]] += 1  # the refit
+        assert windows == expected
+        assert [row["n_errors"] for row in gs.report_] == [0, 1, 0]
 
     def test_refit_on_full_series(self):
         y = seasonal_series(60, sp=6, seed=7)
