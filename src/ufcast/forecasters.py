@@ -6,7 +6,9 @@ Smoothing parameters are estimated by minimising the in-sample one-step
 sum of squared errors: a coarse deterministic grid over the smoothing
 coefficients (0.01 to 0.99, step 0.02) seeds a Nelder-Mead refinement that
 also adjusts the initial states.  The refinement is an in-package port of
-scipy's Nelder-Mead (same steps, same results) that runs on Python floats.
+scipy's Nelder-Mead (same steps, same results) that runs on Python floats;
+the problem's dimension selects its loop, a two-parameter one on float
+locals for SES and Theta or the general one on lists for Holt and Damped.
 Everything is deterministic.
 """
 
@@ -94,16 +96,16 @@ class NaiveForecaster(BaseForecaster):
 # tests pin it) but slower, and this kernel is the hot path of SES and
 # Theta fits (the harness workload's 160k Nelder-Mead evaluations).  Per
 # call with Python float arguments, as _nelder_mead's vertices pass them,
-# on a 2-vCPU Xeon (Python 3.11, numpy 2.4): 5.7 and 74 us at n=60 and 800,
-# against 15 and 199 us for _holt_sse_scalar and 21 and 259 us for
+# on a 2-vCPU Xeon (Python 3.11, numpy 2.4): 3.4 and 42 us at n=60 and 800,
+# against 8.8 and 121 us for _holt_sse_scalar and 11.5 and 155 us for
 # _smoothing_path, which also records the fitted values (neither optimiser
 # runs it).  Numpy scalar coefficients make every step numpy scalar
-# arithmetic: 19 and 261 us.  One evaluation inside an SES fit, the
-# optimiser's steps included, costs about 11 and 84 us.  SES's 50-alpha
-# grid runs this kernel once per alpha: that takes 1.1-1.3x the time of a
-# vectorised grid kernel at n 13-900, and the grid is 12-34 % of an SES fit
-# at n 60-800, so a second copy of the recursion would save at most about
-# 8 % of one.
+# arithmetic: 12 and 162 us.  One evaluation inside an SES fit, the steps
+# of _nelder_mead_2d included, costs about 4.0 and 44 us (6.2 and 46 us
+# with the general loop's list steps).  SES's 50-alpha grid runs this
+# kernel once per alpha: that takes 1.1-1.3x the time of a vectorised grid
+# kernel at n 13-900, and the grid is 22-36 % of an SES fit at n 60-800,
+# so a second copy of the recursion would save at most about 8 % of one.
 
 def _ses_sse_scalar(values, alpha, l0):
     """One-step SSE of the level recursion ``level += alpha * (x - level)``
@@ -123,18 +125,19 @@ class _MaxFevReached(Exception):
 
 def _nelder_mead(fun, x0, args=(), xatol=1e-4, fatol=1e-4, maxiter=None,
                  maxfev=None, **unused):
-    """scipy's Nelder-Mead on lists of Python floats.
+    """scipy's Nelder-Mead on Python floats.
 
     A port of scipy 1.17's ``_minimize_neldermead`` without bounds and with
     ``adaptive=False``: the same initial simplex, ``maxiter``/``maxfev``
     defaults and cap, convergence test, steps and operand order, so ``x``,
     ``fun``, ``nit``, ``nfev`` and ``status`` equal scipy's bit for bit.
-    Vertices are ordered with ``np.argsort`` of their values wherever scipy
-    sorts: for four or more values that sort need not be stable, and ties
-    (several vertices at inf) are common, so another sort would move
-    results.  ``fun(x, *args)`` gets a fresh list of floats and returns a
-    float.  It is passed to :func:`scipy.optimize.minimize` as ``method``,
-    which adds the keywords collected in ``unused``.
+    ``fun(x, *args)`` gets a fresh list of floats and returns a float.  It
+    is passed to :func:`scipy.optimize.minimize` as ``method``, which adds
+    the keywords collected in ``unused``.
+
+    The dimension picks the loop.  Two parameters (SES and Theta) run
+    :func:`_nelder_mead_2d`, which keeps the three vertices in float
+    locals; any other size runs :func:`_nelder_mead_nd` on lists.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float)).ravel().tolist()
     n = len(x0)
@@ -151,7 +154,35 @@ def _nelder_mead(fun, x0, args=(), xatol=1e-4, fatol=1e-4, maxiter=None,
     elif maxfev is None:
         maxfev = n * 200 if maxiter == np.inf else np.inf
 
+    fsim = [np.inf] * (n + 1)
     nfev = 0
+    for k in range(n + 1):
+        if nfev >= maxfev:
+            break
+        nfev += 1
+        fsim[k] = fun(list(sim[k]), *args)
+
+    loop = _nelder_mead_2d if n == 2 else _nelder_mead_nd
+    sim, fsim, nit, nfev = loop(fun, args, sim, fsim, nfev, xatol, fatol,
+                                maxiter, maxfev)
+
+    status = 1 if nfev >= maxfev else 2 if nit >= maxiter else 0
+    return optimize.OptimizeResult(
+        x=np.array(sim[0]), fun=np.min(fsim), nit=nit, nfev=nfev,
+        status=status, success=status == 0)
+
+
+def _nelder_mead_nd(fun, args, sim, fsim, nfev, xatol, fatol, maxiter,
+                    maxfev):
+    """:func:`_nelder_mead`'s iterations for any dimension, on lists.
+
+    Takes the evaluated initial simplex; returns the final ``(sim, fsim,
+    nit, nfev)``.  Vertices are ordered with ``np.argsort`` of their values
+    wherever scipy sorts: for four or more values that sort need not be
+    stable, and ties (several vertices at inf) are common, so another sort
+    would move results.
+    """
+    n = len(sim) - 1
 
     def f(x):
         nonlocal nfev
@@ -164,12 +195,6 @@ def _nelder_mead(fun, x0, args=(), xatol=1e-4, fatol=1e-4, maxiter=None,
         order = np.array(fsim).argsort().tolist()
         return [sim[i] for i in order], [fsim[i] for i in order]
 
-    fsim = [np.inf] * (n + 1)
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _MaxFevReached:
-        pass
     sim, fsim = by_value(sim, fsim)
     sim, fsim = by_value(sim, fsim)
 
@@ -223,11 +248,98 @@ def _nelder_mead(fun, x0, args=(), xatol=1e-4, fatol=1e-4, maxiter=None,
         except _MaxFevReached:
             pass
         sim, fsim = by_value(sim, fsim)
+    return sim, fsim, nit, nfev
 
-    status = 1 if nfev >= maxfev else 2 if nit >= maxiter else 0
-    return optimize.OptimizeResult(
-        x=np.array(sim[0]), fun=np.min(fsim), nit=nit, nfev=nfev,
-        status=status, success=status == 0)
+
+def _nelder_mead_2d(fun, args, sim, fsim, nfev, xatol, fatol, maxiter,
+                    maxfev):
+    """:func:`_nelder_mead_nd` for two parameters, on float locals.
+
+    The vertices are ``a`` (best), ``b`` and ``c`` (worst), each an x, a y
+    and a value.  Every step is the general loop's expression in the same
+    operand order, and an evaluation past ``maxfev`` ends the loop where
+    the general loop's exception would.  Vertices are ordered by a stable
+    insertion that puts nan last, which for three values is the order
+    ``np.argsort`` gives.  After a step that replaces only the worst
+    vertex, inserting it is the whole sort; the initial simplex, a shrink
+    and a step cut by ``maxfev`` sort all three (scipy sorts the initial
+    simplex twice; the second sort is then a no-op).
+    """
+    (ax, ay), (bx, by), (cx, cy) = sim
+    fa, fb, fc = fsim
+    nit = 1
+    full = True  # order all three vertices, not only the worst
+    while True:
+        if full and (fb < fa or (fa != fa and fb == fb)):
+            ax, ay, fa, bx, by, fb = bx, by, fb, ax, ay, fa
+        if fc < fb or (fb != fb and fc == fc):
+            if fc < fa or (fa != fa and fc == fc):
+                ax, ay, fa, bx, by, fb, cx, cy, fc = (
+                    cx, cy, fc, ax, ay, fa, bx, by, fb)
+            else:
+                bx, by, fb, cx, cy, fc = cx, cy, fc, bx, by, fb
+        if (not (nfev < maxfev and nit < maxiter)
+                or (abs(bx - ax) <= xatol and abs(by - ay) <= xatol
+                    and abs(cx - ax) <= xatol and abs(cy - ay) <= xatol
+                    and abs(fa - fb) <= fatol and abs(fa - fc) <= fatol)):
+            break
+        # each "continue" below is a cut by maxfev, with ``full`` set: the
+        # sort at the top orders all three vertices, then the loop ends
+        full = False
+
+        mx = (ax + bx) / 2
+        my = (ay + by) / 2
+        rx = 2 * mx - cx
+        ry = 2 * my - cy
+        nfev += 1
+        fr = fun([rx, ry], *args)
+        if fr < fa:
+            if nfev >= maxfev:
+                full = True
+                continue
+            ex = 3 * mx - 2 * cx
+            ey = 3 * my - 2 * cy
+            nfev += 1
+            fe = fun([ex, ey], *args)
+            if fe < fr:
+                cx, cy, fc = ex, ey, fe
+            else:
+                cx, cy, fc = rx, ry, fr
+        elif fr < fb:
+            cx, cy, fc = rx, ry, fr
+        else:
+            if nfev >= maxfev:
+                full = True
+                continue
+            if fr < fc:
+                kx = 1.5 * mx - 0.5 * cx
+                ky = 1.5 * my - 0.5 * cy
+                nfev += 1
+                fk = fun([kx, ky], *args)
+                full = not fk <= fr
+            else:
+                kx = 0.5 * mx + 0.5 * cx
+                ky = 0.5 * my + 0.5 * cy
+                nfev += 1
+                fk = fun([kx, ky], *args)
+                full = not fk < fc
+            if full:  # shrink towards the best vertex
+                bx = ax + 0.5 * (bx - ax)
+                by = ay + 0.5 * (by - ay)
+                if nfev >= maxfev:
+                    continue
+                nfev += 1
+                fb = fun([bx, by], *args)
+                cx = ax + 0.5 * (cx - ax)
+                cy = ay + 0.5 * (cy - ay)
+                if nfev >= maxfev:
+                    continue
+                nfev += 1
+                fc = fun([cx, cy], *args)
+            else:
+                cx, cy, fc = kx, ky, fk
+        nit += 1
+    return [[ax, ay], [bx, by], [cx, cy]], [fa, fb, fc], nit, nfev
 
 
 def _refine(objective, x0, seed_sse, options=None):

@@ -137,6 +137,13 @@ class ForecastingGridSearch(BaseForecaster):
     def _children(self):
         return {"forecaster": self.forecaster}
 
+    def _required_length(self, y):
+        """The shortest series the cv splits at least once."""
+        horizon = int(self.cv.fh.steps[-1])
+        if self.cv.mode == "single":
+            return horizon + 1
+        return self.cv.window_length + horizon
+
     def _fit(self, y):
         candidates = []
         for combo in itertools.product(*self.param_grid.values()):

@@ -1,6 +1,8 @@
-"""The smoothing models' Nelder-Mead: the in-package port against scipy's,
-the argument types the SSE kernels receive, and the minimisations an
-outside wrapper of ``scipy.optimize.minimize`` can observe.
+"""The in-package optimisers against scipy's: the smoothing models'
+Nelder-Mead (its two-parameter loop and its general one) and Box-Cox's
+bounded Brent search; the argument types the SSE kernels receive, and the
+minimisations an outside wrapper of ``scipy.optimize.minimize`` can
+observe.
 """
 
 import math
@@ -16,6 +18,7 @@ from ufcast.forecasters import (
     ThetaForecaster,
     _nelder_mead,
 )
+from ufcast.transforms import _bounded_brent
 from tests.conftest import seasonal_series
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -62,7 +65,8 @@ _COORD = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
 
 @st.composite
 def _problems(draw):
-    n = draw(st.integers(1, 6))
+    # two parameters (SES and Theta) run their own loop: draw them often
+    n = draw(st.one_of(st.just(2), st.integers(1, 6)))
     x0 = draw(st.lists(_COORD, min_size=n, max_size=n))
     centre = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
     box = draw(st.floats(0.05, 4.0))
@@ -78,6 +82,13 @@ def _problems(draw):
 @example(problem=([-0.2, 0.0, -0.0, -1.0, -0.0, 0.0],
                   [0.3, -0.1, -0.1, -0.9, -0.2, -0.4], 1.1, 0.0),
          options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 4000})
+# two parameters: an initial simplex with two vertices tied on inf, a nan
+# vertex, and maxfev cuts inside a shrink, before each of its evaluations
+@example(problem=([2.55, 2.56], [-1.04, -0.52], 2.63, 0.0), options={})
+@example(problem=([-1.78, 1.84], [-0.73, -1.4], 2.81, 0.01),
+         options={"maxfev": 14})
+@example(problem=([-1.86, -0.45], [-0.45, 0.73], 3.16, 0.5),
+         options={"maxfev": 5})
 def test_port_matches_scipy_bit_for_bit(problem, options):
     x0, centre, box, step = problem
     fun = _boxed_objective(centre, box, step)
@@ -90,19 +101,73 @@ def test_port_matches_scipy_bit_for_bit(problem, options):
     assert ours.success == theirs.success
 
 
+def _scalar_objective(kind, centre, step):
+    """A bowl around ``centre`` (quadratic, or ``|x - centre|``) on a
+    staircase of height ``step`` (0 for none); ``"inf"`` and ``"nan"``
+    return that value right of the centre, ``"constant"`` is flat."""
+
+    def fun(x):
+        x = float(x)
+        if kind == "constant":
+            return 2.5
+        if kind in ("inf", "nan") and x > centre:
+            return math.inf if kind == "inf" else math.nan
+        e = x - centre
+        s = abs(e) if kind == "abs" else e * e
+        return math.floor(s / step) * step if step else s
+
+    return fun
+
+
+@st.composite
+def _scalar_problems(draw):
+    lower = draw(st.floats(-5.0, 5.0))
+    upper = lower + draw(st.one_of(st.just(0.0), st.floats(0.0, 6.0)))
+    centre = draw(st.floats(-6.0, 6.0))
+    kind = draw(st.sampled_from(["square", "abs", "inf", "nan", "constant"]))
+    step = draw(st.sampled_from([0.0, 0.0, 1e-3, 0.5]))
+    xatol = draw(st.sampled_from([None, 1e-8, 1e-12, 0.3]))
+    options = {} if xatol is None else {"xatol": xatol}
+    maxiter = draw(st.one_of(st.none(), st.integers(1, 40)))
+    if maxiter is not None:
+        options["maxiter"] = maxiter
+    return (lower, upper), _scalar_objective(kind, centre, step), options
+
+
+def _scalar_summary(res):
+    return (np.float64(res.x).tobytes(), np.float64(res.fun).tobytes(),
+            int(res.nfev), int(res.nit), int(res.status))
+
+
+@settings(max_examples=300)
+@given(problem=_scalar_problems())
+def test_brent_port_matches_scipy_bit_for_bit(problem):
+    bounds, fun, options = problem
+    ours = scipy.optimize.minimize_scalar(fun, bounds=bounds,
+                                          method=_bounded_brent,
+                                          options=options)
+    with np.errstate(invalid="ignore"):
+        theirs = scipy.optimize.minimize_scalar(fun, bounds=bounds,
+                                                method="bounded",
+                                                options=options)
+    assert _scalar_summary(ours) == _scalar_summary(theirs)
+    assert ours.success == theirs.success
+
+
 def test_port_passes_args_and_fresh_lists():
-    seen = []
+    for x0 in ([1.0], [1.0, 2.0]):  # the general loop, the 2-D loop
+        seen = []
 
-    def fun(x, shift):
-        seen.append(x)
-        assert type(x) is list and all(type(v) is float for v in x)
-        x.append(0.0)  # a vertex the objective changes stays unchanged
-        return (x[0] - shift) ** 2
+        def fun(x, shift):
+            seen.append(x)
+            assert type(x) is list and all(type(v) is float for v in x)
+            x.append(0.0)  # a vertex the objective changes stays unchanged
+            return (x[0] - shift) ** 2
 
-    res = _nelder_mead(fun, np.array([1.0]), args=(0.25,), maxfev=10)
-    assert res.nfev == len(seen) == 10 and res.status == 1
-    assert res.x.shape == (1,)
-    assert len({id(x) for x in seen}) == len(seen)
+        res = _nelder_mead(fun, np.array(x0), args=(0.25,), maxfev=10)
+        assert res.nfev == len(seen) == 10 and res.status == 1
+        assert res.x.shape == (len(x0),)
+        assert len({id(x) for x in seen}) == len(seen)
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from ufcast.evaluation import smape
 from ufcast.exceptions import (
     FIT_ERRORS,
     AllCandidatesFailedError,
+    SeriesTooShortError,
     UnknownParameterError,
 )
 from ufcast.forecasters import (
@@ -181,6 +182,23 @@ class TestGridSearch:
         )
         with pytest.raises(AllCandidatesFailedError):
             gs.fit(y)
+
+    @pytest.mark.parametrize("mode, window, fh, needed", [
+        ("sliding", 10, 1, 11), ("expanding", 10, [1, 3], 13),
+        ("single", 10, [2, 4], 5),
+    ])
+    def test_series_too_short_for_any_split(self, mode, window, fh, needed):
+        cv = SlidingWindowSplitter(window_length=window, fh=fh, mode=mode)
+        y = seasonal_series(needed, sp=1, seed=8)
+        gs = ForecastingGridSearch(SESForecaster(), {"alpha": [0.3, 0.6]}, cv)
+        assert len(list(cv.split(y))) == 1
+        gs.fit(y)
+        assert all(r["n_errors"] == 0 and np.isfinite(r["mean_score"])
+                   for r in gs.report_)
+        with pytest.raises(SeriesTooShortError,
+                           match=f"ForecastingGridSearch needs at least "
+                                 f"{needed} observations, got {needed - 1}"):
+            gs.fit(y.islice(0, needed - 1))
 
     def test_unknown_parameter_is_fatal(self):
         y = seasonal_series(30, sp=3, seed=6)

@@ -10,6 +10,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
 import scipy.optimize
 
 import ufcast.compose
@@ -20,6 +21,8 @@ import ufcast.m4.runner
 import ufcast.regress
 import ufcast.select
 import ufcast.transforms
+
+from tests.conftest import seasonal_series
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -58,7 +61,44 @@ def test_tracer_installs_and_restores_every_attribute():
                         (ufcast.regress.KNNRegressor, "predict"),
                         (ufcast.compose, "tabularize"),
                         (ufcast.m4.runner, "build_model"),
-                        (scipy.optimize, "minimize")]:
+                        (scipy.optimize, "minimize"),
+                        (scipy.optimize, "minimize_scalar")]:
         assert (owner, name) in patched, (owner, name)
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+@pytest.mark.parametrize("attr, estimator", [
+    ("minimize", ufcast.forecasters.SESForecaster),
+    ("minimize_scalar", ufcast.transforms.BoxCoxTransformer),
+])
+def test_tracer_counts_every_optimiser_evaluation(attr, estimator,
+                                                  monkeypatch):
+    """The optimiser spans' ``nfev`` (``forecasters.optimize.nfev`` and
+    ``transforms.boxcox.nfev``) is the result's, which is the number of
+    objective evaluations."""
+    tracing = _load_tracing()
+    original = getattr(scipy.optimize, attr)
+    results = []
+
+    def recording(fun, *args, **kwargs):
+        evals = []
+
+        def counted(*a):
+            evals.append(a)
+            return fun(*a)
+
+        res = original(counted, *args, **kwargs)
+        results.append((res, len(evals)))
+        return res
+
+    monkeypatch.setattr(scipy.optimize, attr, recording)
+    y = seasonal_series(n=48, sp=1, amp=0.0, noise=0.05, seed=7)
+    with tracing.Tracer() as tracer:
+        estimator().fit(y)
+    spans = [s for s in tracer.spans if s[tracing.NAME] == f"scipy.{attr}"]
+    assert len(spans) == len(results) == 1
+    (res, evals), = results
+    nfev, nit, success = spans[0][tracing.DETAIL]
+    assert nfev == res.nfev == evals > 0
+    assert nit == res.nit > 0 and success is True

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from ufcast.core import TimeSeries
 from ufcast.exceptions import (
@@ -146,6 +147,48 @@ class TestBoxCox:
         y_sorted = np.linspace(0.1, 50, 200)
         z = b.transform_at(y_sorted, np.arange(200))
         assert np.all(np.diff(z) > 0)
+
+
+    def test_lambda_equals_scipy_bounded_reference(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 12, 60, 300):
+            y = np.exp(rng.normal(1.0, 0.8, n)) * rng.uniform(0.5, 500.0)
+            log_sum = float(np.sum(np.log(y)))
+
+            def neg_llf(lam):
+                z = (y ** lam - 1.0) / lam
+                var = z.var()
+                if var <= 0 or not np.isfinite(var):
+                    return np.inf
+                return 0.5 * n * np.log(var) - (lam - 1.0) * log_sum
+
+            for lower, upper in [(1e-4, 1 - 1e-4), (0.2, 0.3), (0.5, 0.5)]:
+                res = scipy.optimize.minimize_scalar(
+                    neg_llf, bounds=(lower, upper), method="bounded",
+                    options={"xatol": 1e-8})
+                want = float(np.clip(res.x, lower, upper))
+                got = BoxCoxTransformer(lower, upper).fit(y).lambda_
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("bounds, ok", [
+        ({}, True), ({"lower": np.float64(0.2), "upper": 1}, True),
+        ({"lower": 0.5, "upper": 0.5}, True),
+        ({"lower": "0.1"}, False), ({"lower": 0.0}, False),
+        ({"lower": -0.5}, False), ({"upper": 1.5}, False),
+        ({"lower": 0.6, "upper": 0.4}, False), ({"upper": True}, False),
+        ({"lower": float("nan")}, False), ({"upper": float("inf")}, False),
+        ({"lower": None}, False), ({"upper": np.bool_(True)}, False),
+    ], ids=str)
+    def test_bounds_checked_at_construction(self, bounds, ok):
+        if ok:
+            BoxCoxTransformer(**bounds).fit(np.array([1.0, 3.0, 2.0, 5.0]))
+            return
+        with pytest.raises(ValueError):
+            BoxCoxTransformer(**bounds)
+        b = BoxCoxTransformer()
+        with pytest.raises(ValueError):
+            b.set_params(**bounds)
+        assert (b.lower, b.upper) == (1e-4, 1.0 - 1e-4)
 
 
 class TestStandardizer:
