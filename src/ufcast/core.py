@@ -62,8 +62,8 @@ class TimeSeries:
             raise SeriesTooShortError(1, arr.size)
         if not np.all(np.isfinite(arr)):
             raise NonFiniteInputError("series contains NaN or infinite values")
-        if sp < 1 or int(sp) != sp:
-            raise ValueError(f"sp must be a positive integer, got {sp!r}")
+        _check_integer("start_index", start_index)
+        _check_integer("sp", sp, 1)
         arr = arr.copy()
         arr.flags.writeable = False
         self.values = arr
@@ -313,14 +313,15 @@ class BaseEstimator:
         return f"{type(self).__name__}({params})"
 
 
-def _check_integer(name: str, value, minimum: int):
+def _check_integer(name: str, value, minimum: int | None = None):
     """Raise ValueError unless ``value`` is an integer of at least
-    ``minimum``.  Bools and integral floats (``2.0``) are refused: numpy
-    takes neither as a count, size or index."""
+    ``minimum`` (any integer when ``minimum`` is None).  Bools, integral
+    floats (``2.0``) and strings are refused: numpy takes none of them as a
+    count, size or index."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < minimum):
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {value!r}")
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def _clone_value(value):
@@ -368,14 +369,14 @@ class BaseForecaster(BaseEstimator):
         Parameters
         ----------
         y : TimeSeries or array-like
-            Training data (raw sequences are anchored at position 0, sp 1
-            unless the forecaster carries its own sp).
+            Training data (raw sequences are anchored at position 0, sp 1;
+            pass a :class:`TimeSeries` to set either).
         fh : optional
             Forecasting horizon.  Validated, then unused: no model fits
             horizon-specific parameters.
         """
         self._reset()
-        y = self._coerce_y(y)
+        y = as_series(y)
         needed = self._required_length(y)
         if len(y) < needed:
             raise SeriesTooShortError(needed, len(y), type(self).__name__)
@@ -385,9 +386,6 @@ class BaseForecaster(BaseEstimator):
         self._fit(y)
         self._is_fitted = True
         return self
-
-    def _coerce_y(self, y) -> TimeSeries:
-        return as_series(y, sp=getattr(self, "sp", None) or 1)
 
     def _fit(self, y: TimeSeries):
         raise NotImplementedError

@@ -370,25 +370,25 @@ def _grid_best(sse, what):
 
 
 def _ses_fit(values):
-    """Fit level smoothing; returns ``(alpha, 0.0, 1.0, l0, 0.0, sse)``,
-    the smoothing template's coefficients and states with no trend.
+    """Fit level smoothing to ``values`` (a list of floats); returns
+    ``(alpha, 0.0, 1.0, l0, 0.0, sse)``, the smoothing template's
+    coefficients and states with no trend.
 
     A grid over alpha (initial level fixed at the first observation) seeds
     Nelder-Mead over (alpha, l0), with the level coordinate scaled to the
     data so tolerances bite on both axes.
     """
-    y0 = float(values[0])
-    data = values.tolist()
+    y0 = values[0]
     grid = _SMOOTHING_GRID.tolist()
     best, seed_sse = _grid_best(
-        [_ses_sse_scalar(data, a, y0) for a in grid], "alpha")
+        [_ses_sse_scalar(values, a, y0) for a in grid], "alpha")
     scale = max(1.0, abs(float(np.mean(values))))
 
     def objective(x):
         a, l0_scaled = x
         if not 0.0 <= a <= 1.0:
             return math.inf
-        s = _ses_sse_scalar(data, a, l0_scaled * scale)
+        s = _ses_sse_scalar(values, a, l0_scaled * scale)
         return s if math.isfinite(s) else math.inf
 
     x, sse = _refine(objective, [grid[best], y0 / scale], seed_sse)
@@ -424,9 +424,10 @@ def _smoothing_path(values, alpha, beta, phi, level, trend):
 class _SmoothingForecaster(BaseForecaster):
     """The one fit and state shared by SES, Holt/Damped and Theta.
 
-    ``_fit`` takes the coefficients and initial states from the model's
-    ``_estimate`` hook, run on the values ``_path_values`` derives from the
-    training series, and runs :func:`_smoothing_path` over them once.  It
+    ``_fit`` converts the values ``_path_values`` derives from the training
+    series to a list of floats once, takes the coefficients and initial
+    states from the model's ``_estimate`` hook on that list, and runs
+    :func:`_smoothing_path` over it once.  It
     keeps ``alpha_``, ``beta_``, ``phi_``, ``initial_level_``,
     ``initial_trend_`` and ``sse_`` (the estimator's SSE, or the path's when
     nothing was estimated), the one-step fitted values of every observation
@@ -436,18 +437,18 @@ class _SmoothingForecaster(BaseForecaster):
     """
 
     def _fit(self, y):
-        values = self._path_values(y)
+        values = self._path_values(y).tolist()
         (self.alpha_, self.beta_, self.phi_, self.initial_level_,
          self.initial_trend_, sse) = self._estimate(values)
         self._fitted, self._level, self._trend, path_sse = _smoothing_path(
-            values.tolist(), self.alpha_, self.beta_, self.phi_,
+            values, self.alpha_, self.beta_, self.phi_,
             self.initial_level_, self.initial_trend_)
         self.sse_ = path_sse if sse is None else sse
 
-    def _estimate(self, values: np.ndarray) -> tuple:
+    def _estimate(self, values: list) -> tuple:
         """``(alpha, beta, phi, initial level, initial trend, sse)`` for the
-        recursion over ``values``; ``sse`` is None when nothing was
-        estimated."""
+        recursion over ``values`` (a list of floats); ``sse`` is None when
+        nothing was estimated."""
         raise NotImplementedError
 
     def _path_values(self, y: TimeSeries) -> np.ndarray:
@@ -482,7 +483,7 @@ class SESForecaster(_SmoothingForecaster):
     def _estimate(self, values):
         if self.alpha is None:
             return _ses_fit(values)
-        return float(self.alpha), 0.0, 1.0, float(values[0]), 0.0, None
+        return float(self.alpha), 0.0, 1.0, values[0], 0.0, None
 
     def _predict_ahead(self, steps):
         # not Holt's level + h * trend: with a zero trend that can turn a
@@ -506,8 +507,9 @@ _GRID_BLOCK = 16384
 
 
 def _holt_sse_grid(values, alphas, betas, phis, l0, b0):
-    """One-step SSE of the (damped) trend recursion, vectorised over
-    candidates.
+    """One-step SSE of the (damped) trend recursion over ``values`` (a list
+    of floats), vectorised over candidates: ``alphas``, ``betas`` and
+    ``phis`` are 1-d arrays of equal length, one candidate per index.
 
     Each step evaluates, per candidate and in this association order::
 
@@ -517,49 +519,37 @@ def _holt_sse_grid(values, alphas, betas, phis, l0, b0):
         level = pred + alpha * e
         trend = beta * (level - prev_level) + ((1 - beta) * phi) * trend
 
-    ``(1 - beta) * phi`` is formed once, before the time loop; that is the
-    left-to-right grouping of ``(1 - beta) * phi * trend``, so hoisting it
-    changes no bit.  Candidates run in blocks through preallocated buffers
-    with ``out=`` ufuncs, every operand order kept, so each candidate's SSE
-    is bit-identical to :func:`_holt_sse_scalar` on the same coefficients,
-    overflow to inf or nan included.
+    ``(1 - beta) * phi`` is formed once per block, before the time loop;
+    that is the left-to-right grouping of ``(1 - beta) * phi * trend``, so
+    hoisting it changes no bit.  Candidates run in blocks through
+    preallocated buffers with ``out=`` ufuncs, every operand order kept, so
+    each candidate's SSE is bit-identical to :func:`_holt_sse_scalar` on the
+    same coefficients, overflow to inf or nan included.
     """
-    shape = np.broadcast(alphas, betas, phis).shape
-    alphas, betas, phis = (
-        np.broadcast_to(np.asarray(c, dtype=float), shape).ravel()
-        for c in (alphas, betas, phis)
-    )
-    data = np.asarray(values, dtype=float).tolist()
-    sse = np.empty(alphas.size)
-    for lo in range(0, sse.size, _GRID_BLOCK):
-        block = slice(lo, lo + _GRID_BLOCK)
-        sse[block] = _holt_sse_block(data, alphas[block], betas[block],
-                                     phis[block], float(l0), float(b0))
-    return sse.reshape(shape)
-
-
-def _holt_sse_block(values, alphas, betas, phis, l0, b0):
-    """The grid recursion over one block of 1-d candidate arrays."""
-    n = alphas.size
-    damp = (1 - betas) * phis
-    level = np.full(n, l0)
-    trend = np.full(n, b0)
-    sse = np.zeros(n)
-    pred, err, step, new_level = (np.empty(n) for _ in range(4))
+    sse = np.zeros(alphas.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in values:
-            np.multiply(phis, trend, out=pred)
-            np.add(level, pred, out=pred)
-            np.subtract(x, pred, out=err)
-            np.multiply(err, err, out=step)
-            np.add(sse, step, out=sse)
-            np.multiply(alphas, err, out=step)
-            np.add(pred, step, out=new_level)
-            np.subtract(new_level, level, out=step)
-            np.multiply(betas, step, out=step)
-            np.multiply(damp, trend, out=trend)
-            np.add(step, trend, out=trend)
-            level, new_level = new_level, level
+        for lo in range(0, sse.size, _GRID_BLOCK):
+            block = slice(lo, lo + _GRID_BLOCK)
+            alpha, beta, phi, acc = (
+                alphas[block], betas[block], phis[block], sse[block])
+            n = acc.size
+            damp = (1 - beta) * phi
+            level = np.full(n, l0)
+            trend = np.full(n, b0)
+            pred, err, step, new_level = (np.empty(n) for _ in range(4))
+            for x in values:
+                np.multiply(phi, trend, out=pred)
+                np.add(level, pred, out=pred)
+                np.subtract(x, pred, out=err)
+                np.multiply(err, err, out=step)
+                np.add(acc, step, out=acc)
+                np.multiply(alpha, err, out=step)
+                np.add(pred, step, out=new_level)
+                np.subtract(new_level, level, out=step)
+                np.multiply(beta, step, out=step)
+                np.multiply(damp, trend, out=trend)
+                np.add(step, trend, out=trend)
+                level, new_level = new_level, level
     return sse
 
 
@@ -617,8 +607,8 @@ class HoltForecaster(_SmoothingForecaster):
             raise ValueError("phi is only used with damped=True")
 
     def _estimate(self, values):
-        l0 = float(values[0])
-        b0 = float((values[-1] - values[0]) / (len(values) - 1))
+        l0 = values[0]
+        b0 = (values[-1] - values[0]) / (len(values) - 1)
         phi = self.phi if self.damped else 1.0
         # (alpha, beta, phi) as floats, None where to be estimated
         given = tuple(None if c is None else float(c)
@@ -638,7 +628,6 @@ class HoltForecaster(_SmoothingForecaster):
 
         seed = [float(aa[best]), float(bb[best]), float(pp[best])]
         free = [i for i, c in enumerate(given) if c is None]
-        data = values.tolist()
 
         def coefficients(x):
             """(alpha, beta, phi) with the free ones read from ``x``."""
@@ -651,7 +640,7 @@ class HoltForecaster(_SmoothingForecaster):
             a, b, p = coefficients(x)
             if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 < p <= 1.0):
                 return math.inf
-            s = _holt_sse_scalar(data, a, b, p, x[-2], x[-1])
+            s = _holt_sse_scalar(values, a, b, p, x[-2], x[-1])
             return s if math.isfinite(s) else math.inf
 
         x0 = [seed[i] for i in free] + [l0, b0]
@@ -691,6 +680,14 @@ class HoltForecaster(_SmoothingForecaster):
 # theta
 # ---------------------------------------------------------------------------
 
+def _trend_coefficients(values, degree):
+    """Coefficients, constant term first, of the least-squares polynomial
+    of ``degree`` through ``values`` in the 0-based position."""
+    design = np.vander(np.arange(len(values), dtype=float), degree + 1,
+                       increasing=True)
+    return np.linalg.lstsq(design, values, rcond=None)[0]
+
+
 class ThetaForecaster(_SmoothingForecaster):
     """Two-line theta method with equal combination weights.
 
@@ -704,14 +701,9 @@ class ThetaForecaster(_SmoothingForecaster):
 
     _min_length = 3
 
-    def __init__(self):
-        super().__init__()
-
     def _fit(self, y):
-        t = np.arange(len(y), dtype=float)
-        design = np.column_stack([np.ones_like(t), t])
-        coef, *_ = np.linalg.lstsq(design, y.values, rcond=None)
-        self.intercept_, self.slope_ = float(coef[0]), float(coef[1])
+        self.intercept_, self.slope_ = _trend_coefficients(
+            y.values, 1).tolist()
         super()._fit(y)
 
     _estimate = staticmethod(_ses_fit)
@@ -761,10 +753,7 @@ class PolynomialTrendForecaster(BaseForecaster):
         return self.degree + 1
 
     def _fit(self, y):
-        t = np.arange(len(y), dtype=float)
-        design = np.vander(t, self.degree + 1, increasing=True)
-        coef, *_ = np.linalg.lstsq(design, y.values, rcond=None)
-        self.coef_ = coef
+        self.coef_ = _trend_coefficients(y.values, self.degree)
 
     def _predict_ahead(self, steps):
         return self._predict_in_sample((len(self._y) - 1) + steps)

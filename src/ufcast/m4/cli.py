@@ -21,7 +21,7 @@ from .published import (
 )
 from .registry import KNOWN_MODELS
 from .reports import render_cd_svg, stats_report
-from .runner import RunManifest, dumps_17g, read_results, run
+from .runner import RunManifest, _repeated_names, dumps_17g, read_results, run
 
 _DEFAULT_MODELS = "Naive,sNaive,Naive2,SES,Holt,Damped,Com,Theta,Theta-bc"
 
@@ -86,6 +86,11 @@ def _cmd_run(args) -> int:
     unknown = [m for m in models if m not in KNOWN_MODELS]
     if unknown:
         print(f"unknown models: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    repeated = _repeated_names(models)
+    if repeated:
+        print(f"models listed more than once: {', '.join(repeated)}",
+              file=sys.stderr)
         return 2
     if args.jobs < 1:
         print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..compose import _prefix_cache_scope
-from ..core import ForecastingHorizon, TimeSeries
+from ..core import ForecastingHorizon, TimeSeries, _check_integer
 from ..evaluation import EvalRecord, mase, mean_ranks, owa, rank_models, smape
 from ..exceptions import FIT_ERRORS
 from .datasets import DATASETS, load_m4, natural_key, resolve_paths
@@ -203,16 +203,26 @@ def _aggregate_dataset(dataset: str, models: list, rows: list) -> dict:
     return {"n_series": len(all_ids), "models": out_models}
 
 
+def _repeated_names(names: list) -> list:
+    """Each name that ``names`` lists more than once, once."""
+    return [*dict.fromkeys(n for i, n in enumerate(names) if n in names[:i])]
+
+
 def run(manifest: RunManifest, external_regressors: dict | None = None) -> dict:
     """Execute a manifest; writes JSON-lines to ``manifest.out_path``.
 
     Returns the aggregate block.  ``external_regressors`` factories go to
     the evaluation directly with ``jobs=1`` and to each pool worker through
     its initializer; where workers are not forked they must pickle.
-    ``manifest.jobs`` below 1 raises ``ValueError`` before any data is read.
+    ``manifest.jobs`` that is not an integer of at least 1, or a dataset or
+    model listed twice, raises ``ValueError`` before any data is read.
     """
-    if manifest.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {manifest.jobs}")
+    _check_integer("jobs", manifest.jobs, 1)
+    for what in ("datasets", "models"):
+        repeated = _repeated_names(getattr(manifest, what))
+        if repeated:
+            raise ValueError(
+                f"{what} listed more than once: {', '.join(repeated)}")
     started = time.perf_counter()
     models = list(manifest.models)
     if "Naive2" not in models:

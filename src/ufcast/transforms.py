@@ -277,9 +277,7 @@ class Deseasonalizer(BaseTransformer):
             self.indices_ = classical_decompose(y, sp)
         else:
             self.indices_ = SeasonalIndices(
-                np.ones(max(sp, 1)), phase=y.start_index, sp=max(sp, 1),
-                applied=False,
-            )
+                np.ones(sp), phase=y.start_index, sp=sp, applied=False)
 
     def transform_at(self, values, positions):
         return np.asarray(values, dtype=float) / self.indices_.at(positions)
@@ -368,9 +366,6 @@ class Standardizer(BaseTransformer):
 
     A constant series keeps scale 1 so the transform stays invertible.
     """
-
-    def __init__(self):
-        super().__init__()
 
     def _fit(self, y):
         self.mean_ = float(y.values.mean())

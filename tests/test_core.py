@@ -48,6 +48,24 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries([1.0], sp=0)
 
+    @pytest.mark.parametrize("sp", [2.0, 1.5, True, "3", None])
+    def test_non_integer_sp_rejected(self, sp):
+        with pytest.raises(ValueError, match="sp must be an integer"):
+            TimeSeries([1.0], sp=sp)
+
+    @pytest.mark.parametrize("start_index", [1.5, 3.0, True, "3", None])
+    def test_non_integer_start_index_rejected(self, start_index):
+        with pytest.raises(ValueError, match="start_index must be an integer"):
+            TimeSeries([1.0], start_index=start_index)
+
+    @pytest.mark.parametrize("start_index, sp", [
+        (-7, 1), (0, 12), (np.int64(5), np.int64(4)),
+    ])
+    def test_integer_anchors_accepted(self, start_index, sp):
+        y = TimeSeries([1.0, 2.0], start_index=start_index, sp=sp)
+        assert (y.start_index, y.sp) == (start_index, sp)
+        assert type(y.start_index) is int and type(y.sp) is int
+
     def test_values_read_only(self):
         y = TimeSeries([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -156,6 +174,9 @@ class TestPredict:
     def test_seasonal_naive_wraps(self):
         f = NaiveForecaster("seasonal_last", sp=2).fit((1, 2, 3, 4))
         assert f.predict([1, 2, 3]).values.tolist() == [3.0, 4.0, 3.0]
+        # a raw sequence is anchored with sp 1; the forecaster's own sp
+        # decides the season
+        assert f.cutoff == 3 and f._y.sp == 1
 
     def test_polynomial_trend_line(self):
         # independent oracle: normal equations for OLS on a noiseless line

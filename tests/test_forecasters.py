@@ -222,6 +222,14 @@ class TestTheta:
         with pytest.raises(SeriesTooShortError):
             ThetaForecaster().fit((1.0, 2.0))
 
+    @pytest.mark.parametrize("n, seed", [(3, 0), (17, 1), (70, 2), (401, 3)])
+    def test_line_is_the_degree_one_trend(self, n, seed):
+        y = seasonal_series(n, sp=12, noise=0.3, seed=seed)
+        theta = ThetaForecaster().fit(y)
+        trend = PolynomialTrendForecaster(degree=1).fit(y)
+        line = np.array([theta.intercept_, theta.slope_])
+        assert line.tobytes() == trend.coef_.tobytes()
+
 
 SMOOTHERS = {
     "ses": SESForecaster,

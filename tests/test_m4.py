@@ -298,7 +298,8 @@ class TestRunner:
             run(manifest, external_regressors={"RF": lambda: KNNRegressor(2)})
         assert runner._EXTERNAL_REGRESSORS is None
 
-    @pytest.mark.parametrize("jobs", [0, -2])
+    # non-integers too: a float would otherwise reach the process pool
+    @pytest.mark.parametrize("jobs", [0, -2, 1.5, 2.0, True, "2", None])
     def test_jobs_below_one_rejected_before_reading(self, tmp_path, jobs):
         # the data directory is empty: a FileNotFoundError would mean the
         # check came after the first read
@@ -308,6 +309,26 @@ class TestRunner:
             jobs=jobs,
         )
         with pytest.raises(ValueError, match="jobs"):
+            run(manifest)
+        assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("datasets, models, message", [
+        (["yearly", "yearly"], ["SES", "Naive"],
+         "datasets listed more than once: yearly"),
+        (["yearly"], ["SES", "SES", "Naive"],
+         "models listed more than once: SES"),
+        (["yearly"], ["Naive2", "SES", "Naive2", "SES"],
+         "models listed more than once: Naive2, SES"),
+    ])
+    def test_repeated_names_rejected_before_reading(self, tmp_path, datasets,
+                                                    models, message):
+        # each listing would write a dataset's rows, or a model's row per
+        # series, once more
+        manifest = RunManifest(
+            datasets=datasets, models=models, train_dir=str(tmp_path),
+            test_dir=str(tmp_path), out_path=str(tmp_path / "r.jsonl"),
+        )
+        with pytest.raises(ValueError, match=message):
             run(manifest)
         assert not (tmp_path / "r.jsonl").exists()
 
@@ -472,7 +493,7 @@ class TestPerSeriesTasks:
         estimate = HoltForecaster._estimate
 
         def failing(self, values):
-            if self.damped is damped and values.size < 30:
+            if self.damped is damped and len(values) < 30:
                 raise OptimizerFailedError("injected failure")
             return estimate(self, values)
 
@@ -790,6 +811,18 @@ class TestCli:
         ])
         assert code == 2
         assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
+    def test_repeated_model_rejected(self, mini_m4_dir, tmp_path, capsys):
+        from ufcast.m4.cli import main
+
+        code = main([
+            "run", "--dataset", "hourly", "--models", "SES,Naive,SES",
+            "--train-dir", str(mini_m4_dir), "--test-dir", str(mini_m4_dir),
+            "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert code == 2
+        assert "more than once: SES" in capsys.readouterr().err
         assert not (tmp_path / "x.jsonl").exists()
 
     def test_unknown_dataset_rejected(self, mini_m4_dir, tmp_path):

@@ -5,6 +5,8 @@ match, and any two nans match (a nan's sign and payload carry no meaning
 for the optimiser, which maps every non-finite SSE to inf).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from ufcast import forecasters  # noqa: E402
 from ufcast.forecasters import (  # noqa: E402
     _holt_sse_grid,
     _holt_sse_scalar,
@@ -89,6 +92,23 @@ def test_scalar_matches_one_candidate_grid(values, alpha, beta, phi, l0, b0):
                           np.array([beta]), np.array([phi]), l0, b0)
     scalar = _holt_sse_scalar(values, alpha, beta, phi, l0, b0)
     assert _bits([scalar]) == _bits(grid)
+
+
+@given(st.data(), series, wide, wide)
+def test_blocked_grid_matches_scalar_per_candidate(data, values, l0, b0):
+    """With a small block, candidate counts just below, at and past a block
+    edge (and past two) give each candidate the scalar kernel's SSE."""
+    block = data.draw(st.integers(2, 5))
+    count = data.draw(st.sampled_from(
+        [block - 1, block, block + 1, 2 * block + 1]))
+    candidates = data.draw(st.lists(st.tuples(unit, unit, damping),
+                                    min_size=count, max_size=count))
+    alphas, betas, phis = (np.array(c) for c in zip(*candidates))
+    with mock.patch.object(forecasters, "_GRID_BLOCK", block):
+        got = _holt_sse_grid(values, alphas, betas, phis, l0, b0)
+    want = [_holt_sse_scalar(values, a, b, p, l0, b0)
+            for a, b, p in candidates]
+    assert _bits(got) == _bits(want)
 
 
 def test_scalar_and_grid_agree_past_overflow():
