@@ -30,6 +30,7 @@ from .exceptions import (
 __all__ = [
     "smape",
     "mase",
+    "MASE_DENOMINATORS",
     "EvalRecord",
     "owa",
     "RankMatrix",
@@ -75,6 +76,9 @@ def smape(y_true, y_pred) -> float:
     return float(200.0 * terms.mean())
 
 
+MASE_DENOMINATORS = ("as_formula", "train_only")
+
+
 def mase(y_true, y_pred, y_train, sp: int = 1,
          denominator: str = "as_formula") -> float:
     """Mean absolute error scaled by the seasonal-naive in-sample error.
@@ -87,12 +91,11 @@ def mase(y_true, y_pred, y_train, sp: int = 1,
     """
     y_true, y_pred = _paired(y_true, y_pred)
     y_train = np.asarray(y_train, dtype=float).reshape(-1)
+    if denominator not in MASE_DENOMINATORS:
+        raise ValueError(f"unknown denominator convention {denominator!r}")
+    full = y_train
     if denominator == "as_formula":
         full = np.concatenate([y_train, y_true])
-    elif denominator == "train_only":
-        full = y_train
-    else:
-        raise ValueError(f"unknown denominator convention {denominator!r}")
     if full.size <= sp:
         raise ZeroDenominatorError(
             f"need more than sp={sp} scaling observations, got {full.size}"

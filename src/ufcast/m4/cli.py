@@ -12,6 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
+from ..evaluation import MASE_DENOMINATORS
+from ..exceptions import UnknownModelError
 from .datasets import DATASETS
 from .published import (
     compare_aggregate,
@@ -19,9 +21,9 @@ from .published import (
     comparison_text,
     load_published,
 )
-from .registry import KNOWN_MODELS
+from .registry import KNOWN_MODELS, WINDOW_RULES
 from .reports import render_cd_svg, stats_report
-from .runner import RunManifest, _repeated_names, dumps_17g, read_results, run
+from .runner import RunManifest, _check_manifest, dumps_17g, read_results, run
 
 _DEFAULT_MODELS = "Naive,sNaive,Naive2,SES,Holt,Damped,Com,Theta,Theta-bc"
 
@@ -49,9 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--jobs", type=int, default=1,
                        help="parallel worker processes (default 1)")
     p_run.add_argument("--mase-denominator", default="as_formula",
-                       choices=["as_formula", "train_only"],
+                       choices=MASE_DENOMINATORS,
                        help="MASE scaling convention (default as_formula)")
-    p_run.add_argument("--window-rule", default="max", choices=["max", "min"],
+    p_run.add_argument("--window-rule", default="max", choices=WINDOW_RULES,
                        help="untuned reduction window: max(sp,3) or min(sp,3)")
 
     p_cmp = sub.add_parser("compare",
@@ -75,31 +77,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    if args.dataset == "all":
-        datasets = list(DATASETS)
-    else:
-        if args.dataset not in DATASETS:
-            print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
-            return 2
-        datasets = [args.dataset]
+    datasets = list(DATASETS) if args.dataset == "all" else [args.dataset]
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    unknown = [m for m in models if m not in KNOWN_MODELS]
-    if unknown:
-        print(f"unknown models: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    repeated = _repeated_names(models)
-    if repeated:
-        print(f"models listed more than once: {', '.join(repeated)}",
-              file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
     manifest = RunManifest(
         datasets=datasets, models=models, train_dir=args.train_dir,
         test_dir=args.test_dir, out_path=args.out, jobs=args.jobs,
         mase_denominator=args.mase_denominator, window_rule=args.window_rule,
     )
+    try:
+        _check_manifest(manifest)
+    except (ValueError, UnknownModelError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
     aggregate = run(manifest)
     for dataset, block in aggregate["datasets"].items():
         print(f"{dataset}: {block['n_series']} series")

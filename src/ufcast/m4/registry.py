@@ -45,7 +45,7 @@ from ..regress import KNNRegressor, LinearRegressor
 from ..select import ForecastingGridSearch, SlidingWindowSplitter
 from ..transforms import BoxCoxTransformer, Deseasonalizer, Detrender, Standardizer
 
-__all__ = ["KNOWN_MODELS", "WINDOW_GRID", "build_model",
+__all__ = ["KNOWN_MODELS", "WINDOW_GRID", "WINDOW_RULES", "build_model",
            "default_window_length"]
 
 WINDOW_GRID = [3, 4, 6, 8, 10, 12, 15, 18, 21, 24]
@@ -54,7 +54,6 @@ _REGRESSORS = {
     "LR": lambda: LinearRegressor(fit_intercept=True),
     "KNN": lambda: KNNRegressor(k=1),
 }
-_EXTERNAL_NAMES = ("RF", "XGB")
 _BOOSTABLE = ("KNN", "RF", "XGB")  # linear regression is excluded from boosting
 
 _STATISTICAL = (
@@ -67,6 +66,9 @@ for _reg in ("LR", "KNN", "RF", "XGB"):
     KNOWN_MODELS += [_reg, f"{_reg}-s", f"{_reg}-t-s"]
 for _reg in _BOOSTABLE:
     KNOWN_MODELS += [f"{_reg}-Theta-bc", f"{_reg}-Theta-bc-t"]
+
+
+WINDOW_RULES = ("max", "min")
 
 
 def default_window_length(sp: int, rule: str = "max") -> int:
@@ -82,11 +84,7 @@ def _regressor(token: str, external):
         return _REGRESSORS[token]()
     if external and token in external:
         return external[token]()
-    if token in _EXTERNAL_NAMES:
-        raise UnknownModelError(
-            f"{token} requires an external regressor factory"
-        )
-    raise UnknownModelError(f"unknown regressor {token!r}")
+    raise UnknownModelError(f"{token} requires an external regressor factory")
 
 
 def build_model(name: str, sp: int, horizon: int, window_rule: str = "max",
@@ -96,15 +94,18 @@ def build_model(name: str, sp: int, horizon: int, window_rule: str = "max",
     Parameters
     ----------
     name : str
-        One of :data:`KNOWN_MODELS`.
+        One of :data:`KNOWN_MODELS`; ``UnknownModelError`` otherwise, and
+        for ``RF``/``XGB`` without a factory.
     sp, horizon : int
         Dataset seasonal periodicity and forecasting horizon.
     window_rule : {"max", "min"}
-        Untuned reduction window: max(sp, 3) or min(sp, 3).
+        Untuned reduction window: max(sp, 3) or min(sp, 3); else ValueError.
     external_regressors : dict, optional
         name -> zero-argument factory for regressors not shipped here
         (``RF``, ``XGB``).
     """
+    if name not in KNOWN_MODELS:
+        raise UnknownModelError(f"unknown model {name!r}")
     w = default_window_length(sp, window_rule)
 
     def deseas():
@@ -171,11 +172,7 @@ def build_model(name: str, sp: int, horizon: int, window_rule: str = "max",
     if name == "Theta-bc":
         return theta_pipeline(box_cox=True)
 
-    parts = name.split("-")
-    reg_token = parts[0]
-    suffix = "-".join(parts[1:])
-    if name not in KNOWN_MODELS:
-        raise UnknownModelError(f"unknown model {name!r}")
+    reg_token, _, suffix = name.partition("-")
     if suffix == "":
         return reduction_pipeline(reg_token, seasonal=False, window=w)
     if suffix == "s":
@@ -184,6 +181,4 @@ def build_model(name: str, sp: int, horizon: int, window_rule: str = "max",
         return tuned(reduction_pipeline(reg_token, seasonal=True, window=w))
     if suffix == "Theta-bc":
         return boosted_pipeline(reg_token, window=w)
-    if suffix == "Theta-bc-t":
-        return tuned(boosted_pipeline(reg_token, window=w))
-    raise UnknownModelError(f"unknown model {name!r}")
+    return tuned(boosted_pipeline(reg_token, window=w))  # "Theta-bc-t"

@@ -8,8 +8,9 @@ task is one prefix-cache scope (see
 share every fitted step, the final forecaster included: ``Com``'s SES,
 Holt and Damped pipelines take the fits of those models.  A shared fit is
 timed in the row of the first model that needs it, so per-model runtimes
-depend on the manifest's model order; metric values do not.
-Per-series failures are recorded as data and never abort the run.  Results
+depend on the manifest's model order; metric values do not.  A manifest
+that cannot run is refused before any data is read (see :func:`run`);
+per-series failures are recorded as data and never abort a run.  Results
 are JSON-lines — one record or error object per line, then one aggregate
 block — with all numbers rendered at 17 significant digits so identical
 manifests produce byte-identical files (runtimes excepted).
@@ -30,7 +31,9 @@ import numpy as np
 
 from ..compose import _prefix_cache_scope
 from ..core import ForecastingHorizon, TimeSeries, _check_integer
-from ..evaluation import EvalRecord, mase, mean_ranks, owa, rank_models, smape
+from ..evaluation import (
+    MASE_DENOMINATORS, EvalRecord, mase, mean_ranks, owa, rank_models, smape,
+)
 from ..exceptions import FIT_ERRORS
 from .datasets import DATASETS, load_m4, natural_key, resolve_paths
 from .registry import build_model
@@ -152,7 +155,15 @@ def _run_tasks(tasks, jobs: int, external_regressors: dict | None = None):
 # aggregation
 # ---------------------------------------------------------------------------
 
-def _aggregate_dataset(dataset: str, models: list, rows: list) -> dict:
+def _record(row: dict) -> EvalRecord:
+    """The :class:`EvalRecord` of a ``"record"`` row."""
+    return EvalRecord(
+        series_id=row["series_id"], model=row["model"], smape=row["smape"],
+        mase=row["mase"], runtime_s=row["runtime_s"], dataset=row["dataset"],
+    )
+
+
+def _aggregate_dataset(models: list, rows: list) -> dict:
     records = {}  # model -> {sid: EvalRecord}
     failures = {m: 0 for m in models}
     runtimes = {m: 0.0 for m in models}
@@ -162,10 +173,7 @@ def _aggregate_dataset(dataset: str, models: list, rows: list) -> dict:
         all_ids.add(sid)
         runtimes[m] += row["runtime_s"]
         if row["type"] == "record":
-            records.setdefault(m, {})[sid] = EvalRecord(
-                series_id=sid, model=m, smape=row["smape"], mase=row["mase"],
-                runtime_s=row["runtime_s"], dataset=dataset,
-            )
+            records.setdefault(m, {})[sid] = _record(row)
         else:
             failures[m] += 1
 
@@ -203,9 +211,26 @@ def _aggregate_dataset(dataset: str, models: list, rows: list) -> dict:
     return {"n_series": len(all_ids), "models": out_models}
 
 
-def _repeated_names(names: list) -> list:
-    """Each name that ``names`` lists more than once, once."""
-    return [*dict.fromkeys(n for i, n in enumerate(names) if n in names[:i])]
+def _check_manifest(manifest: RunManifest,
+                    external_regressors: dict | None = None) -> None:
+    """Raise unless ``manifest`` can run; reads no data."""
+    _check_integer("jobs", manifest.jobs, 1)
+    for what in ("datasets", "models"):
+        names = getattr(manifest, what)
+        repeated = [*dict.fromkeys(
+            n for i, n in enumerate(names) if n in names[:i])]
+        if repeated:
+            listed = ", ".join(map(str, repeated))
+            raise ValueError(f"{what} listed more than once: {listed}")
+    unknown = [d for d in manifest.datasets if d not in DATASETS]
+    if unknown:
+        raise ValueError(f"unknown datasets: {', '.join(map(str, unknown))}")
+    if manifest.mase_denominator not in MASE_DENOMINATORS:
+        raise ValueError(
+            f"unknown MASE denominator {manifest.mase_denominator!r}")
+    for model in [*manifest.models, "Naive2"]:  # run() adds the OWA reference
+        build_model(model, sp=1, horizon=1, window_rule=manifest.window_rule,
+                    external_regressors=external_regressors)
 
 
 def run(manifest: RunManifest, external_regressors: dict | None = None) -> dict:
@@ -214,15 +239,12 @@ def run(manifest: RunManifest, external_regressors: dict | None = None) -> dict:
     Returns the aggregate block.  ``external_regressors`` factories go to
     the evaluation directly with ``jobs=1`` and to each pool worker through
     its initializer; where workers are not forked they must pickle.
-    ``manifest.jobs`` that is not an integer of at least 1, or a dataset or
-    model listed twice, raises ``ValueError`` before any data is read.
+    Before any data is read, ``jobs`` not an integer >= 1, a name listed
+    twice, or an unknown dataset, MASE denominator or window rule raises
+    ``ValueError``, and a model the registry cannot build (``RF``/``XGB``
+    without a factory) ``UnknownModelError``.
     """
-    _check_integer("jobs", manifest.jobs, 1)
-    for what in ("datasets", "models"):
-        repeated = _repeated_names(getattr(manifest, what))
-        if repeated:
-            raise ValueError(
-                f"{what} listed more than once: {', '.join(repeated)}")
+    _check_manifest(manifest, external_regressors)
     started = time.perf_counter()
     models = list(manifest.models)
     if "Naive2" not in models:
@@ -256,7 +278,7 @@ def run(manifest: RunManifest, external_regressors: dict | None = None) -> dict:
             "window_rule": manifest.window_rule,
         },
         "datasets": {
-            dataset: _aggregate_dataset(dataset, models, rows)
+            dataset: _aggregate_dataset(models, rows)
             for dataset, rows in per_dataset_rows.items()
         },
         "total_runtime_s": time.perf_counter() - started,
@@ -281,11 +303,7 @@ def read_results(path):
             obj = json.loads(line)
             kind = obj.get("type")
             if kind == "record":
-                records.append(EvalRecord(
-                    series_id=obj["series_id"], model=obj["model"],
-                    smape=obj["smape"], mase=obj["mase"],
-                    runtime_s=obj["runtime_s"], dataset=obj["dataset"],
-                ))
+                records.append(_record(obj))
             elif kind == "error":
                 errors.append(obj)
             elif kind == "aggregate":

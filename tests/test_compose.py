@@ -265,6 +265,19 @@ class TestEnsemble:
         with pytest.raises(SeriesTooShortError):
             ens.fit((1.0, 2.0))
 
+    def test_update_is_the_mean_of_updated_components(self):
+        y = seasonal_series(80, sp=6, seed=7)
+        train, new = y.islice(0, 60), y.islice(60, 80)
+        parts = [SESForecaster(), HoltForecaster(),
+                 NaiveForecaster("seasonal_last", sp=6)]
+        ens = EnsembleForecaster([p.clone() for p in parts]).fit(train)
+        ens.update(new)
+        alone = np.stack([p.fit(train).update(new).predict([1, 2, 3]).values
+                          for p in parts])
+        assert ens.cutoff == new.end_index
+        assert np.array_equal(ens.predict([1, 2, 3]).values,
+                              np.sort(alone, axis=0).mean(axis=0))
+
 
 class _Tagged(Standardizer):
     """A standardizer with a hyper-parameter of any type."""

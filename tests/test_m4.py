@@ -1,7 +1,11 @@
 import functools
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,18 @@ class TestLoader:
         with pytest.raises(MalformedRowError):
             load_m4(tmp_path / "bad.csv", tmp_path / "bad.csv",
                     DATASETS["hourly"])
+
+    @pytest.mark.parametrize("rows, line_no, detail", [
+        ('"H1",1.5\n"",2.5\n', 3, "missing series id"),
+        ('"H1",1.5\n"H2",,\n', 3, "row has no values"),
+        ('"H1",1.5\n"H2",2.5\n"H1",3.5\n', 4, "duplicate id H1"),
+    ], ids=["missing-id", "no-values", "duplicate-id"])
+    def test_malformed_row(self, tmp_path, rows, line_no, detail):
+        (tmp_path / "bad.csv").write_text('"V1","V2"\n' + rows)
+        with pytest.raises(MalformedRowError, match=detail) as err:
+            load_m4(tmp_path / "bad.csv", tmp_path / "bad.csv",
+                    DATASETS["hourly"])
+        assert err.value.line_no == line_no
 
     def test_missing_test_series(self, tmp_path):
         write_m4_csv(tmp_path / "t.csv", [("H1", np.arange(1.0, 61.0))])
@@ -312,24 +328,53 @@ class TestRunner:
             run(manifest)
         assert not (tmp_path / "r.jsonl").exists()
 
-    @pytest.mark.parametrize("datasets, models, message", [
-        (["yearly", "yearly"], ["SES", "Naive"],
-         "datasets listed more than once: yearly"),
-        (["yearly"], ["SES", "SES", "Naive"],
-         "models listed more than once: SES"),
-        (["yearly"], ["Naive2", "SES", "Naive2", "SES"],
-         "models listed more than once: Naive2, SES"),
-    ])
-    def test_repeated_names_rejected_before_reading(self, tmp_path, datasets,
-                                                    models, message):
+    @pytest.mark.parametrize("fields, error, message", [
         # each listing would write a dataset's rows, or a model's row per
         # series, once more
-        manifest = RunManifest(
-            datasets=datasets, models=models, train_dir=str(tmp_path),
-            test_dir=str(tmp_path), out_path=str(tmp_path / "r.jsonl"),
-        )
-        with pytest.raises(ValueError, match=message):
+        ({"datasets": ["yearly", "yearly"]}, ValueError,
+         "datasets listed more than once: yearly"),
+        ({"models": ["SES", "SES", "Naive"]}, ValueError,
+         "models listed more than once: SES"),
+        ({"models": ["Naive2", "SES", "Naive2", "SES"]}, ValueError,
+         "models listed more than once: Naive2, SES"),
+        # would evaluate yearly, then raise KeyError with nothing written
+        ({"datasets": ["yearly", "bogus"]}, ValueError,
+         "unknown datasets: bogus"),
+        ({"datasets": ["yearly", 3]}, ValueError, "unknown datasets: 3"),
+        # each case below would write error rows, one per series
+        ({"models": ["Nonsense", "SES"]}, UnknownModelError,
+         "unknown model 'Nonsense'"),
+        ({"models": ["RF"]}, UnknownModelError,
+         "RF requires an external regressor factory"),
+        ({"mase_denominator": "bogus"}, ValueError,
+         "unknown MASE denominator 'bogus'"),
+        ({"window_rule": "bogus"}, ValueError, "unknown window rule 'bogus'"),
+        # the implied Naive2 reference is built with the rule too
+        ({"models": [], "window_rule": "bogus"}, ValueError,
+         "unknown window rule 'bogus'"),
+    ], ids=["repeated-dataset", "repeated-model", "repeated-models",
+            "unknown-dataset", "non-string-dataset", "unknown-model",
+            "no-factory", "unknown-mase-denominator", "unknown-window-rule",
+            "unknown-window-rule-no-models"])
+    def test_bad_manifest_rejected_before_reading(self, tmp_path, monkeypatch,
+                                                  fields, error, message):
+        # readable yearly files, so that only the check stops the run
+        full = [seasonal_series(26, sp=1, seed=i).values for i in range(3)]
+        write_m4_csv(tmp_path / "Yearly-train.csv",
+                     [(f"Y{i}", v[:20]) for i, v in enumerate(full)])
+        write_m4_csv(tmp_path / "Yearly-test.csv",
+                     [(f"Y{i}", v[20:]) for i, v in enumerate(full)])
+        reads = []
+        monkeypatch.setattr(runner, "load_m4",
+                            lambda *args: reads.append(args) or load_m4(*args))
+        manifest = RunManifest(**{
+            "datasets": ["yearly"], "models": ["SES", "Naive"],
+            "train_dir": str(tmp_path), "test_dir": str(tmp_path),
+            "out_path": str(tmp_path / "r.jsonl"), **fields,
+        })
+        with pytest.raises(error, match=re.escape(message)):
             run(manifest)
+        assert reads == []
         assert not (tmp_path / "r.jsonl").exists()
 
     @pytest.mark.parametrize("jobs, n_tasks, pool_workers", [
@@ -810,7 +855,21 @@ class TestCli:
             "--out", str(tmp_path / "x.jsonl"), "--jobs", "0",
         ])
         assert code == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert "jobs must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
+    def test_model_without_factory_rejected(self, mini_m4_dir, tmp_path,
+                                            capsys):
+        # the command line cannot plug in a regressor factory
+        from ufcast.m4.cli import main
+
+        code = main([
+            "run", "--dataset", "hourly", "--models", "Naive,RF",
+            "--train-dir", str(mini_m4_dir), "--test-dir", str(mini_m4_dir),
+            "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert code == 2
+        assert "external regressor factory" in capsys.readouterr().err
         assert not (tmp_path / "x.jsonl").exists()
 
     def test_repeated_model_rejected(self, mini_m4_dir, tmp_path, capsys):
@@ -834,3 +893,18 @@ class TestCli:
             "--out", str(tmp_path / "x.jsonl"),
         ])
         assert code == 2
+
+    def test_module_entry_point(self, mini_m4_dir, tmp_path):
+        # ``python -m ufcast.m4.cli`` exits with main()'s status
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = [str(src), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run([
+            sys.executable, "-m", "ufcast.m4.cli", "run",
+            "--dataset", "minutely", "--models", "Naive",
+            "--train-dir", str(mini_m4_dir), "--test-dir", str(mini_m4_dir),
+            "--out", str(tmp_path / "x.jsonl"),
+        ], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "unknown datasets: minutely" in proc.stderr
+        assert not (tmp_path / "x.jsonl").exists()

@@ -9,6 +9,7 @@ from ufcast.evaluation import smape
 from ufcast.exceptions import (
     FIT_ERRORS,
     AllCandidatesFailedError,
+    NotFittedError,
     SeriesTooShortError,
     UnknownParameterError,
 )
@@ -106,6 +107,32 @@ class TestGridSearch:
         np.testing.assert_array_equal(
             gs.predict([1, 2, 3]).values, plain.predict([1, 2, 3]).values
         )
+
+    def test_update_advances_the_best_forecaster(self):
+        y = seasonal_series(75, sp=6, seed=3)
+        train, new = y.islice(0, 60), y.islice(60, 75)
+        gs = ForecastingGridSearch(
+            SESForecaster(), {"alpha": [0.2, 0.5, 0.8]}, self._cv()
+        ).fit(train)
+        gs.update(new)
+        assert gs.cutoff == gs.best_forecaster_.cutoff == new.end_index
+        want = gs.best_forecaster_.predict([1, 2, 3]).values
+        np.testing.assert_array_equal(gs.predict([1, 2, 3]).values, want)
+        plain = SESForecaster(**gs.best_params_).fit(train).update(new)
+        np.testing.assert_array_equal(plain.predict([1, 2, 3]).values, want)
+
+    def test_fitted_params_are_the_winner(self):
+        gs = ForecastingGridSearch(
+            SESForecaster(), {"alpha": [0.2, 0.5, 0.8]}, self._cv()
+        )
+        with pytest.raises(NotFittedError):
+            gs.get_fitted_params()
+        gs.fit(seasonal_series(60, sp=6, seed=3))
+        params = gs.get_fitted_params()
+        assert params == {"best_params": gs.best_params_,
+                          "best_score": gs.best_score_}
+        params["best_params"]["alpha"] = -1.0  # a copy, not the attribute
+        assert gs.best_params_["alpha"] != -1.0
 
     def test_zero_score_wins(self):
         y = TimeSeries(np.full(30, 5.0))

@@ -138,6 +138,15 @@ class TestBoxCox:
         b = BoxCoxTransformer().fit(y)
         assert b.lambda_ < 0.05
 
+    @pytest.mark.parametrize("bounds", [{}, {"lower": 0.1, "upper": 0.6}],
+                             ids=["default", "narrow"])
+    def test_constant_series_takes_upper_bound(self, bounds):
+        y = TimeSeries(np.full(12, 7.5))
+        b = BoxCoxTransformer(**bounds).fit(y)
+        assert b.lambda_ == b.upper
+        back = b.inverse_transform(b.transform(y))
+        np.testing.assert_allclose(back.values, y.values, rtol=1e-12)
+
     def test_negative_rejected(self):
         with pytest.raises(NonPositiveValuesError):
             BoxCoxTransformer().fit(np.array([1.0, -2.0, 3.0]))
