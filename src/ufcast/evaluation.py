@@ -7,6 +7,12 @@ of sMAPE and MASE ratios against a reference model.
 Tests: paired t-test, Friedman rank test, post-hoc Nemenyi critical
 differences with grouping, Wilcoxon signed-rank (exact for small n) and
 the Holm step-down correction.  All functions are pure.
+
+Ranks come from an in-package port of scipy's average ranking, so
+importing this module, and the runner's aggregate that ranks every run,
+never load ``scipy.stats``, which costs about half a second of start-up.
+Only the t, chi-square and normal tail probabilities of the significance
+tests import it, inside the function that needs it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as spstats
 
 from .exceptions import (
     AllZeroDifferencesError,
@@ -181,8 +186,35 @@ def rank_models(records, metric: str = "smape") -> RankMatrix:
         )
     table = np.array([scores[(m, s)] for s in series for m in models],
                      dtype=float).reshape(len(series), len(models))
-    ranks = spstats.rankdata(table, method="average", axis=1)
-    return RankMatrix(models=models, series=series, ranks=ranks)
+    return RankMatrix(models=models, series=series, ranks=_average_ranks(table))
+
+
+def _average_ranks(values) -> np.ndarray:
+    """Ranks along the last axis, 1 for the smallest; ties share the mean
+    of their 1-based positions.
+
+    The same bits as ``scipy.stats.rankdata(values, method="average",
+    axis=-1)``: a stable sort per row, then each run of equal values gets
+    ``0.5 * (first + last)`` of its positions, an exact half-integer.  A
+    row holding a NaN comes out all NaN, as under scipy's ``propagate``.
+    """
+    x = np.asarray(values, dtype=float)
+    order = np.argsort(x, axis=-1, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=-1)
+    # a run starts each row and wherever the sorted value changes
+    # (-0.0 ties 0.0, inf ties inf)
+    starts = np.ones(x.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    run_start = np.flatnonzero(starts)
+    run_length = np.diff(run_start, append=x.size)
+    first = run_start % x.shape[-1] + 1
+    last = first + run_length - 1
+    ranks = np.empty(x.shape)
+    np.put_along_axis(
+        ranks, order,
+        np.repeat(0.5 * (first + last), run_length).reshape(x.shape), axis=-1)
+    ranks[np.isnan(x).any(axis=-1)] = np.nan
+    return ranks
 
 
 def mean_ranks(rank_matrix: RankMatrix) -> np.ndarray:
@@ -207,7 +239,8 @@ def paired_t_test(a, b) -> tuple[float, float]:
     if sd == 0.0:
         raise ZeroVarianceError("differences have zero variance")
     t = float(d.mean() / (sd / np.sqrt(d.size)))
-    p = float(2.0 * spstats.t.sf(abs(t), d.size - 1))
+    from scipy import stats
+    p = float(2.0 * stats.t.sf(abs(t), d.size - 1))
     return t, p
 
 
@@ -222,7 +255,8 @@ def friedman_test(rank_matrix: RankMatrix) -> tuple[float, float]:
         raise DegenerateInputError("Friedman test needs N >= 2 series and k >= 2 models")
     rbar = mean_ranks(rank_matrix)
     chi2 = 12.0 * n / (k * (k + 1)) * (np.sum(rbar ** 2) - k * (k + 1) ** 2 / 4.0)
-    p = float(spstats.chi2.sf(chi2, k - 1))
+    from scipy import stats
+    p = float(stats.chi2.sf(chi2, k - 1))
     return float(chi2), p
 
 
@@ -337,7 +371,7 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
     n = d.size
     if n == 0:
         raise AllZeroDifferencesError("all paired differences are zero")
-    ranks = spstats.rankdata(np.abs(d), method="average")
+    ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)
@@ -352,7 +386,8 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
         _, counts = np.unique(ranks, return_counts=True)
         var -= float(np.sum(counts ** 3 - counts)) / 48.0
         z = (w - mean) / np.sqrt(var)
-        p = float(min(1.0, 2.0 * spstats.norm.cdf(z)))
+        from scipy import stats
+        p = float(min(1.0, 2.0 * stats.norm.cdf(z)))
     return w, p
 
 

@@ -296,6 +296,14 @@ class TestUpdatePredict:
         cv = SlidingWindowSplitter(window_length=10, fh=1)
         assert f.update_predict((1.0, 2.0), cv) == []
 
+    def test_non_contiguous_test_data_rejected(self):
+        f = NaiveForecaster("last").fit(TimeSeries([2, 5, 9]))
+        cv = SlidingWindowSplitter(window_length=1, fh=1, mode="expanding")
+        with pytest.raises(NonContiguousUpdateError, match="starts at 5"):
+            f.update_predict(TimeSeries([1.0, 2.0], start_index=5), cv)
+        assert f.cutoff == 2
+        assert f.predict(1).values[0] == 9.0
+
     @pytest.mark.parametrize("update_params", [False, True])
     def test_ses_both_update_paths(self, update_params):
         y = seasonal_series(60, sp=1, seed=5)

@@ -836,6 +836,46 @@ class TestCli:
         )
         assert svg_out.read_text().startswith("<svg")
 
+    @staticmethod
+    def _results_lines(mini_run, keep):
+        _, out, _ = mini_run
+        lines = out.read_text().splitlines(keepends=True)
+        return "".join(ln for ln in lines if json.loads(ln)["type"] in keep)
+
+    def test_compare_without_aggregate_rejected(self, mini_run, tmp_path,
+                                                capsys):
+        from ufcast.m4.cli import main
+
+        results = tmp_path / "records_only.jsonl"
+        results.write_text(self._results_lines(mini_run, {"record", "error"}))
+        code = main(["compare", "--results", str(results),
+                     "--out", str(tmp_path / "cmp.csv")])
+        assert code == 2
+        assert "no aggregate block" in capsys.readouterr().err
+        assert not (tmp_path / "cmp.csv").exists()
+
+    def test_stats_without_records_rejected(self, mini_run, tmp_path, capsys):
+        from ufcast.m4.cli import main
+
+        results = tmp_path / "aggregate_only.jsonl"
+        results.write_text(self._results_lines(mini_run, {"aggregate"}))
+        code = main(["stats", "--results", str(results), "--test", "friedman",
+                     "--out", str(tmp_path / "stats.json")])
+        assert code == 2
+        assert "no records" in capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
+
+    def test_svg_needs_nemenyi(self, mini_run, tmp_path, capsys):
+        from ufcast.m4.cli import main
+
+        _, out, _ = mini_run
+        code = main(["stats", "--results", str(out), "--test", "friedman",
+                     "--out", str(tmp_path / "stats.json"),
+                     "--svg", str(tmp_path / "cd.svg")])
+        assert code == 2
+        assert "only meaningful with --test nemenyi" in capsys.readouterr().err
+        assert not (tmp_path / "cd.svg").exists()
+
     def test_unknown_model_rejected(self, mini_m4_dir, tmp_path):
         from ufcast.m4.cli import main
 

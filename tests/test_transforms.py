@@ -138,6 +138,12 @@ class TestBoxCox:
         b = BoxCoxTransformer().fit(y)
         assert b.lambda_ < 0.05
 
+    @pytest.mark.parametrize("bad", [0.0, -3.0], ids=["zero", "negative"])
+    def test_transform_rejects_non_positive(self, bad):
+        b = BoxCoxTransformer().fit(seasonal_series(40, sp=4))
+        with pytest.raises(NonPositiveValuesError):
+            b.transform(TimeSeries([5.0, bad, 7.0]))
+
     @pytest.mark.parametrize("bounds", [{}, {"lower": 0.1, "upper": 0.6}],
                              ids=["default", "narrow"])
     def test_constant_series_takes_upper_bound(self, bounds):
