@@ -110,6 +110,11 @@ class ReducedRegressionForecaster(BaseForecaster):
 _PREFIX_CACHE: contextvars.ContextVar = contextvars.ContextVar(
     "ufcast_prefix_cache", default=None)
 
+# True while a grid search scores its candidates: a final step fitted on a
+# split window is never looked up again, so the cache keeps none
+_SCORING_CANDIDATES: contextvars.ContextVar = contextvars.ContextVar(
+    "ufcast_scoring_candidates", default=False)
+
 
 @contextlib.contextmanager
 def _prefix_cache_scope():
@@ -202,10 +207,12 @@ class TransformedTargetForecaster(BaseForecaster):
     Sharing is safe because ``fit`` and ``update`` only rebind the
     object's own attributes (``fit`` after ``_reset``) and ``predict``
     writes none, so no later call on one pipeline changes what another
-    sees.  A failed fit is not kept, and a step whose hyper-parameters
-    hold anything but plain scalars, strings, ``None``, lists, tuples and
-    estimators (a grid search's ``param_grid`` dict, say) is always fitted
-    directly.
+    sees.  While a grid search scores its candidates their final steps are
+    not kept: each is fitted on a split window that only its own candidate
+    sees, and holds, say, a whole KNN table.  A failed fit is not kept,
+    and a step whose hyper-parameters hold anything but plain scalars,
+    strings, ``None``, lists, tuples and estimators (a grid search's
+    ``param_grid`` dict, say) is always fitted directly.
 
     Steps may be given as estimators or (name, estimator) pairs; names are
     the path components for nested parameter access, e.g.
@@ -258,6 +265,8 @@ class TransformedTargetForecaster(BaseForecaster):
             step.fit(y)
             if step is not final:
                 y = step.transform(y)
+            elif _SCORING_CANDIDATES.get():
+                break  # a candidate's final step is not kept
             if key is not None:
                 cache[key] = ([_fitted_attributes(estimator)
                                for estimator in step._estimators()], y)

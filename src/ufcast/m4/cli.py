@@ -119,6 +119,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if args.svg and args.test != "nemenyi":
+        print("--svg is only meaningful with --test nemenyi", file=sys.stderr)
+        return 2
     records, _, _ = read_results(args.results)
     if not records:
         print("results file has no records", file=sys.stderr)
@@ -128,10 +131,6 @@ def _cmd_stats(args) -> int:
     Path(args.out).write_text(dumps_17g(report) + "\n", encoding="utf-8")
     print(f"wrote {args.test} report -> {args.out}")
     if args.svg:
-        if args.test != "nemenyi":
-            print("--svg is only meaningful with --test nemenyi",
-                  file=sys.stderr)
-            return 2
         datasets = list(report["datasets"])
         for dataset in datasets:
             cd = report["datasets"][dataset]["critical_difference"]

@@ -18,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from .compose import _prefix_cache_scope
+from .compose import _SCORING_CANDIDATES, _prefix_cache_scope
 from .core import (BaseForecaster, TimeSeries, _check_integer, as_horizon,
                    as_series)
 from .evaluation import smape
@@ -97,6 +97,20 @@ class SlidingWindowSplitter:
             end += self.step_length
 
 
+def _cv_score(candidate, splits, fh, scoring):
+    """A candidate's (mean score, n_errors) over the splits; its first
+    failure scores it infinity and skips its later splits."""
+    scores = []
+    try:
+        for train, actual in splits:
+            forecast = candidate.fit(train).predict(fh)
+            scores.append(float(scoring(actual, forecast.values)))
+    except FIT_ERRORS:
+        return np.inf, 1
+    score = float(np.mean(scores)) if scores else np.inf
+    return (score if np.isfinite(score) else np.inf), 0
+
+
 class ForecastingGridSearch(BaseForecaster):
     """Grid-search cross-validation over a forecaster's parameter grid.
 
@@ -118,8 +132,9 @@ class ForecastingGridSearch(BaseForecaster):
     before the first one a grid key reaches) is fitted once per split and
     shared by all candidates, whatever order the fits come in, and the
     refit shares the steps of any earlier fit on the same series, its
-    final forecaster too.  Scores, report and refit are exactly those of
-    fitting every candidate pipeline whole.
+    final forecaster too.  The candidates' own final steps, fitted on
+    split windows, are not kept.  Scores, report and refit are exactly
+    those of fitting every candidate pipeline whole.
     """
 
     def __init__(self, forecaster, param_grid: dict, cv, scoring=None):
@@ -156,29 +171,23 @@ class ForecastingGridSearch(BaseForecaster):
         splits = [(y.islice(int(train[0]), int(train[-1] + 1)), y.values[test])
                   for train, test in self.cv.split(y)]
         self.report_ = []
-        best_params = best = None
-        best_score = np.inf
         with _prefix_cache_scope():
-            for params, candidate in candidates:
-                scores = []
-                n_errors = 0
-                try:
-                    for train, actual in splits:
-                        forecast = candidate.fit(train).predict(fh)
-                        scores.append(float(scoring(actual, forecast.values)))
-                except FIT_ERRORS:  # the first failure skips later splits
-                    n_errors = 1
-                score = float(np.mean(scores)) if scores else np.inf
-                if n_errors or not np.isfinite(score):
-                    score = np.inf
-                self.report_.append({"params": params, "mean_score": score,
-                                     "n_errors": n_errors})
-                if score < best_score:
-                    best_params, best, best_score = params, candidate, score
-            if best is None:
+            scoring_candidates = _SCORING_CANDIDATES.set(True)
+            try:
+                for params, candidate in candidates:
+                    score, n_errors = _cv_score(candidate, splits, fh, scoring)
+                    self.report_.append({"params": params, "mean_score": score,
+                                         "n_errors": n_errors})
+            finally:
+                _SCORING_CANDIDATES.reset(scoring_candidates)
+            scores = [row["mean_score"] for row in self.report_]
+            best_score = min(scores)
+            if best_score == np.inf:
                 raise AllCandidatesFailedError(
                     "no candidate produced a finite validation score"
                 )
+            # ties go to the earliest candidate
+            best_params, best = candidates[scores.index(best_score)]
             self.best_params_ = dict(best_params)
             self.best_score_ = best_score
             self.best_forecaster_ = best.fit(y)

@@ -26,6 +26,7 @@ from ufcast.exceptions import (
     AllZeroDifferencesError,
     IncompleteGridError,
     LengthMismatchError,
+    NonFiniteInputError,
     SeriesMismatchError,
     UnsupportedAlphaError,
     ZeroDenominatorError,
@@ -255,6 +256,13 @@ class TestWilcoxon:
     def test_all_zero_differences(self):
         with pytest.raises(AllZeroDifferencesError):
             wilcoxon_signed_rank([1.0, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("n", [3, 30], ids=["exact", "normal"])
+    def test_nan_difference_rejected(self, n):
+        a = np.arange(1.0, n + 1.0)
+        a[1] = np.nan
+        with pytest.raises(NonFiniteInputError):
+            wilcoxon_signed_rank(a, np.zeros(n))
 
     def test_exact_matches_sign_enumeration(self):
         """Full 2^n enumeration oracle for n <= 10, including ties."""

@@ -873,7 +873,10 @@ class TestCli:
                      "--out", str(tmp_path / "stats.json"),
                      "--svg", str(tmp_path / "cd.svg")])
         assert code == 2
-        assert "only meaningful with --test nemenyi" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "only meaningful with --test nemenyi" in captured.err
+        assert "wrote" not in captured.out
+        assert not (tmp_path / "stats.json").exists()
         assert not (tmp_path / "cd.svg").exists()
 
     def test_unknown_model_rejected(self, mini_m4_dir, tmp_path):

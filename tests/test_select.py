@@ -18,7 +18,13 @@ from ufcast.forecasters import (
     PolynomialTrendForecaster,
     SESForecaster,
 )
-from ufcast.compose import ReducedRegressionForecaster, TransformedTargetForecaster
+from ufcast.compose import (
+    _PREFIX_CACHE,
+    ReducedRegressionForecaster,
+    TransformedTargetForecaster,
+    _estimator_key,
+    _prefix_cache_scope,
+)
 from ufcast.regress import KNNRegressor, LinearRegressor
 from ufcast.select import ForecastingGridSearch, SlidingWindowSplitter
 from ufcast.transforms import (
@@ -327,6 +333,22 @@ class TestGridSearchSharedPrefix:
         # 3 splits + the refit, not 4 candidates x 3 splits + the refit
         assert fits == {"Deseasonalizer": 4, "Detrender": 4, "Standardizer": 4}
         assert not any(step.is_fitted for _, step in proto.steps)
+
+    def test_candidates_keep_no_final_step(self):
+        y = seasonal_series(60, sp=6, seed=1)
+        with _prefix_cache_scope():
+            gs = ForecastingGridSearch(_reduction_pipeline(), self.WINDOWS,
+                                       self._cv()).fit(y)
+            keys = list(_PREFIX_CACHE.get())
+        kept = Counter(key[0][0].__name__ for key in keys)
+        # every transformer once per split and once for the refit, and of
+        # the finals only the winner's refit on the full series
+        assert kept == {"Deseasonalizer": 4, "Detrender": 4,
+                        "Standardizer": 4, "ReducedRegressionForecaster": 1}
+        (final,) = [key for key in keys
+                    if key[0][0] is ReducedRegressionForecaster]
+        assert final[0] == _estimator_key(gs.best_forecaster_._final)
+        assert (len(final[1]), final[2]) == (y.values.nbytes, y.start_index)
 
     def test_transformer_key_shares_what_it_does_not_reach(self,
                                                            monkeypatch):
