@@ -344,8 +344,6 @@ class BaseForecaster(BaseEstimator):
     horizon resolution and the in-sample / ahead split.
     """
 
-    _min_length = 1
-
     def _reset(self):
         super()._reset()
         self._y: TimeSeries | None = None
@@ -359,7 +357,8 @@ class BaseForecaster(BaseEstimator):
         return self._y.end_index
 
     def _required_length(self, y: TimeSeries) -> int:
-        return self._min_length
+        """Fewest observations ``fit`` accepts for ``y``."""
+        return 1
 
     # -- fitting -------------------------------------------------------
 

@@ -8,15 +8,9 @@ Tests: paired t-test, Friedman rank test, post-hoc Nemenyi critical
 differences with grouping, Wilcoxon signed-rank (exact for small n) and
 the Holm step-down correction.  All functions are pure.
 
-``ufcast`` never imports ``scipy.stats``: loading it costs about a third
-of a second and 20 MiB.  Ranks come from an in-package port of scipy's
-average ranking, and the t, chi-square and normal tail probabilities of
-the significance tests from the ``scipy.special`` functions that
-``scipy.stats`` itself calls for them (``stdtr``, ``chdtrc``, ``ndtr``), so
-the p-values are the same bits.  ``chdtrc`` is nan for a negative
-statistic, where ``scipy.stats.chi2.sf`` gives 1 (an all-ones
-``RankMatrix`` has chi-square -36 on 3 models and 4 series), so the
-Friedman test gives p = 1 there itself.
+Average ranks and the t, chi-square and normal tail probabilities come
+from :mod:`ufcast._numerics`, with the bits of ``scipy.stats`` but without
+importing it.
 """
 
 from __future__ import annotations
@@ -25,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _numerics
 from .exceptions import (
     AllZeroDifferencesError,
     DegenerateInputError,
@@ -191,35 +186,7 @@ def rank_models(records, metric: str = "smape") -> RankMatrix:
         )
     table = np.array([scores[(m, s)] for s in series for m in models],
                      dtype=float).reshape(len(series), len(models))
-    return RankMatrix(models=models, series=series, ranks=_average_ranks(table))
-
-
-def _average_ranks(values) -> np.ndarray:
-    """Ranks along the last axis, 1 for the smallest; ties share the mean
-    of their 1-based positions.
-
-    The same bits as ``scipy.stats.rankdata(values, method="average",
-    axis=-1)``: a stable sort per row, then each run of equal values gets
-    ``0.5 * (first + last)`` of its positions, an exact half-integer.  A
-    row holding a NaN comes out all NaN, as under scipy's ``propagate``.
-    """
-    x = np.asarray(values, dtype=float)
-    order = np.argsort(x, axis=-1, kind="stable")
-    ordered = np.take_along_axis(x, order, axis=-1)
-    # a run starts each row and wherever the sorted value changes
-    # (-0.0 ties 0.0, inf ties inf)
-    starts = np.ones(x.shape, dtype=bool)
-    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    run_start = np.flatnonzero(starts)
-    run_length = np.diff(run_start, append=x.size)
-    first = run_start % x.shape[-1] + 1
-    last = first + run_length - 1
-    ranks = np.empty(x.shape)
-    np.put_along_axis(
-        ranks, order,
-        np.repeat(0.5 * (first + last), run_length).reshape(x.shape), axis=-1)
-    ranks[np.isnan(x).any(axis=-1)] = np.nan
-    return ranks
+    return RankMatrix(models, series, _numerics._average_ranks(table))
 
 
 def mean_ranks(rank_matrix: RankMatrix) -> np.ndarray:
@@ -234,19 +201,20 @@ def paired_t_test(a, b) -> tuple[float, float]:
     """Two-sided paired t-test; returns (t, p).
 
     Raises ZeroVarianceError when all differences are equal (including the
-    identical-samples case), rather than reporting a degenerate p-value.
+    identical-samples case), rather than reporting a degenerate p-value,
+    and NonFiniteInputError when a paired difference is NaN or infinite.
     """
     a, b = _paired(a, b)
     if a.size < 2:
         raise DegenerateInputError("paired t-test needs n >= 2")
     d = a - b
+    if not np.isfinite(d).all():
+        raise NonFiniteInputError("a paired difference is not finite")
     sd = d.std(ddof=1)
     if sd == 0.0:
         raise ZeroVarianceError("differences have zero variance")
     t = float(d.mean() / (sd / np.sqrt(d.size)))
-    from scipy import special
-    p = float(2.0 * special.stdtr(d.size - 1, -abs(t)))
-    return t, p
+    return t, 2.0 * _numerics.stdtr(d.size - 1, -abs(t))
 
 
 def friedman_test(rank_matrix: RankMatrix) -> tuple[float, float]:
@@ -254,16 +222,17 @@ def friedman_test(rank_matrix: RankMatrix) -> tuple[float, float]:
 
     ``chi2 = 12 N / (k (k+1)) * (sum_j Rbar_j^2 - k (k+1)^2 / 4)`` with p
     from the chi-square distribution with k - 1 degrees of freedom.
+    Raises NonFiniteInputError when a rank is NaN (``rank_models`` gives a
+    series with a NaN score NaN ranks).
     """
     n, k = rank_matrix.ranks.shape
     if n < 2 or k < 2:
         raise DegenerateInputError("Friedman test needs N >= 2 series and k >= 2 models")
+    if np.isnan(rank_matrix.ranks).any():
+        raise NonFiniteInputError("the rank matrix holds NaN")
     rbar = mean_ranks(rank_matrix)
     chi2 = 12.0 * n / (k * (k + 1)) * (np.sum(rbar ** 2) - k * (k + 1) ** 2 / 4.0)
-    from scipy import special
-    # chdtrc is nan below zero; the chi-square tail there is 1
-    p = 1.0 if chi2 < 0 else float(special.chdtrc(k - 1, chi2))
-    return float(chi2), p
+    return float(chi2), _numerics.chdtrc(k - 1, chi2)
 
 
 # Two-tailed Nemenyi critical values q_alpha(k) for k = 2..30: studentized
@@ -380,7 +349,7 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
     n = d.size
     if n == 0:
         raise AllZeroDifferencesError("all paired differences are zero")
-    ranks = _average_ranks(np.abs(d))
+    ranks = _numerics._average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)
@@ -395,8 +364,7 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
         _, counts = np.unique(ranks, return_counts=True)
         var -= float(np.sum(counts ** 3 - counts)) / 48.0
         z = (w - mean) / np.sqrt(var)
-        from scipy import special
-        p = float(min(1.0, 2.0 * special.ndtr(z)))
+        p = min(1.0, 2.0 * _numerics.ndtr(z))
     return w, p
 
 

@@ -5,20 +5,19 @@ polynomial trend.
 Smoothing parameters are estimated by minimising the in-sample one-step
 sum of squared errors: a coarse deterministic grid over the smoothing
 coefficients (0.01 to 0.99, step 0.02) seeds a Nelder-Mead refinement that
-also adjusts the initial states.  The refinement is an in-package port of
-scipy's Nelder-Mead (same steps, same results) that runs on Python floats;
-the problem's dimension selects its loop, a two-parameter one on float
-locals for SES and Theta or the general one on lists for Holt and Damped.
-Everything is deterministic.
+also adjusts the initial states.  The refinement is the port of scipy's
+Nelder-Mead in :mod:`ufcast._numerics` (same steps, same results, on Python
+floats).  Everything is deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
-from scipy import optimize
 
+from . import _numerics
 from .core import BaseForecaster, TimeSeries, _check_integer
 from .exceptions import OptimizerFailedError, UnsupportedInSampleError
 
@@ -95,17 +94,30 @@ class NaiveForecaster(BaseForecaster):
 # beta=0, phi=1, b0=0: that is bit-identical for finite inputs (the property
 # tests pin it) but slower, and this kernel is the hot path of SES and
 # Theta fits (the harness workload's 160k Nelder-Mead evaluations).  Per
-# call with Python float arguments, as _nelder_mead's vertices pass them,
+# call with Python float arguments, as Nelder-Mead's vertices pass them,
 # on a 2-vCPU Xeon (Python 3.11, numpy 2.4): 3.4 and 42 us at n=60 and 800,
 # against 8.8 and 121 us for _holt_sse_scalar and 11.5 and 155 us for
 # _smoothing_path, which also records the fitted values (neither optimiser
 # runs it).  Numpy scalar coefficients make every step numpy scalar
-# arithmetic: 12 and 162 us.  One evaluation inside an SES fit, the steps
-# of _nelder_mead_2d included, costs about 4.0 and 44 us (6.2 and 46 us
-# with the general loop's list steps).  SES's 50-alpha grid runs this
+# arithmetic: 12 and 162 us.  One evaluation inside an SES fit, the
+# optimiser's two-parameter steps included, costs about 4.0 and 44 us (6.2
+# and 46 us with the general loop's list steps).  SES's 50-alpha grid runs this
 # kernel once per alpha: that takes 1.1-1.3x the time of a vectorised grid
 # kernel at n 13-900, and the grid is 22-36 % of an SES fit at n 60-800,
 # so a second copy of the recursion would save at most about 8 % of one.
+
+def _check_coefficient(name, value, open_below=False):
+    """Raise ValueError unless ``value`` is None (estimated) or a real
+    number in [0, 1], or in (0, 1] with ``open_below``; bools, nan and
+    infinities are refused."""
+    if value is None:
+        return
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (0 < value <= 1 if open_below else 0 <= value <= 1)):
+        low = "(" if open_below else "["
+        raise ValueError(
+            f"{name} must be a real number in {low}0, 1], got {value!r}")
+
 
 def _ses_sse_scalar(values, alpha, l0):
     """One-step SSE of the level recursion ``level += alpha * (x - level)``
@@ -119,229 +131,6 @@ def _ses_sse_scalar(values, alpha, l0):
     return sse
 
 
-class _MaxFevReached(Exception):
-    """Raised in place of an objective evaluation past ``maxfev``."""
-
-
-def _nelder_mead(fun, x0, args=(), xatol=1e-4, fatol=1e-4, maxiter=None,
-                 maxfev=None, **unused):
-    """scipy's Nelder-Mead on Python floats.
-
-    A port of scipy 1.17's ``_minimize_neldermead`` without bounds and with
-    ``adaptive=False``: the same initial simplex, ``maxiter``/``maxfev``
-    defaults and cap, convergence test, steps and operand order, so ``x``,
-    ``fun``, ``nit``, ``nfev`` and ``status`` equal scipy's bit for bit.
-    ``fun(x, *args)`` gets a fresh list of floats and returns a float.  It
-    is passed to :func:`scipy.optimize.minimize` as ``method``, which adds
-    the keywords collected in ``unused``.
-
-    The dimension picks the loop.  Two parameters (SES and Theta) run
-    :func:`_nelder_mead_2d`, which keeps the three vertices in float
-    locals; any other size runs :func:`_nelder_mead_nd` on lists.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).ravel().tolist()
-    n = len(x0)
-    sim = [x0]
-    for k in range(n):
-        y = list(x0)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-
-    if maxiter is None and maxfev is None:
-        maxiter = maxfev = n * 200
-    elif maxiter is None:
-        maxiter = n * 200 if maxfev == np.inf else np.inf
-    elif maxfev is None:
-        maxfev = n * 200 if maxiter == np.inf else np.inf
-
-    fsim = [np.inf] * (n + 1)
-    nfev = 0
-    for k in range(n + 1):
-        if nfev >= maxfev:
-            break
-        nfev += 1
-        fsim[k] = fun(list(sim[k]), *args)
-
-    loop = _nelder_mead_2d if n == 2 else _nelder_mead_nd
-    sim, fsim, nit, nfev = loop(fun, args, sim, fsim, nfev, xatol, fatol,
-                                maxiter, maxfev)
-
-    status = 1 if nfev >= maxfev else 2 if nit >= maxiter else 0
-    return optimize.OptimizeResult(
-        x=np.array(sim[0]), fun=np.min(fsim), nit=nit, nfev=nfev,
-        status=status, success=status == 0)
-
-
-def _nelder_mead_nd(fun, args, sim, fsim, nfev, xatol, fatol, maxiter,
-                    maxfev):
-    """:func:`_nelder_mead`'s iterations for any dimension, on lists.
-
-    Takes the evaluated initial simplex; returns the final ``(sim, fsim,
-    nit, nfev)``.  Vertices are ordered with ``np.argsort`` of their values
-    wherever scipy sorts: for four or more values that sort need not be
-    stable, and ties (several vertices at inf) are common, so another sort
-    would move results.
-    """
-    n = len(sim) - 1
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _MaxFevReached
-        nfev += 1
-        return fun(list(x), *args)
-
-    def by_value(sim, fsim):
-        order = np.array(fsim).argsort().tolist()
-        return [sim[i] for i in order], [fsim[i] for i in order]
-
-    sim, fsim = by_value(sim, fsim)
-    sim, fsim = by_value(sim, fsim)
-
-    nit = 1
-    while nfev < maxfev and nit < maxiter:
-        try:
-            best = sim[0]
-            if (all(abs(v - b) <= xatol
-                    for x in sim[1:] for v, b in zip(x, best))
-                    and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
-                break
-
-            xbar = best
-            for x in sim[1:-1]:
-                xbar = [c + v for c, v in zip(xbar, x)]
-            xbar = [c / n for c in xbar]
-            worst = sim[-1]
-            xr = [2 * c - w for c, w in zip(xbar, worst)]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
-                fxe = f(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                shrink = False
-                if fxr < fsim[-1]:
-                    xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
-                    fxc = f(xc)
-                    if fxc <= fxr:
-                        sim[-1], fsim[-1] = xc, fxc
-                    else:
-                        shrink = True
-                else:
-                    xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
-                    fxcc = f(xcc)
-                    if fxcc < fsim[-1]:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                    else:
-                        shrink = True
-                if shrink:
-                    for j in range(1, n + 1):
-                        sim[j] = [b + 0.5 * (v - b)
-                                  for b, v in zip(best, sim[j])]
-                        fsim[j] = f(sim[j])
-            nit += 1
-        except _MaxFevReached:
-            pass
-        sim, fsim = by_value(sim, fsim)
-    return sim, fsim, nit, nfev
-
-
-def _nelder_mead_2d(fun, args, sim, fsim, nfev, xatol, fatol, maxiter,
-                    maxfev):
-    """:func:`_nelder_mead_nd` for two parameters, on float locals.
-
-    The vertices are ``a`` (best), ``b`` and ``c`` (worst), each an x, a y
-    and a value.  Every step is the general loop's expression in the same
-    operand order, and an evaluation past ``maxfev`` ends the loop where
-    the general loop's exception would.  Vertices are ordered by a stable
-    insertion that puts nan last, which for three values is the order
-    ``np.argsort`` gives.  After a step that replaces only the worst
-    vertex, inserting it is the whole sort; the initial simplex, a shrink
-    and a step cut by ``maxfev`` sort all three (scipy sorts the initial
-    simplex twice; the second sort is then a no-op).
-    """
-    (ax, ay), (bx, by), (cx, cy) = sim
-    fa, fb, fc = fsim
-    nit = 1
-    full = True  # order all three vertices, not only the worst
-    while True:
-        if full and (fb < fa or (fa != fa and fb == fb)):
-            ax, ay, fa, bx, by, fb = bx, by, fb, ax, ay, fa
-        if fc < fb or (fb != fb and fc == fc):
-            if fc < fa or (fa != fa and fc == fc):
-                ax, ay, fa, bx, by, fb, cx, cy, fc = (
-                    cx, cy, fc, ax, ay, fa, bx, by, fb)
-            else:
-                bx, by, fb, cx, cy, fc = cx, cy, fc, bx, by, fb
-        if (not (nfev < maxfev and nit < maxiter)
-                or (abs(bx - ax) <= xatol and abs(by - ay) <= xatol
-                    and abs(cx - ax) <= xatol and abs(cy - ay) <= xatol
-                    and abs(fa - fb) <= fatol and abs(fa - fc) <= fatol)):
-            break
-        # each "continue" below is a cut by maxfev, with ``full`` set: the
-        # sort at the top orders all three vertices, then the loop ends
-        full = False
-
-        mx = (ax + bx) / 2
-        my = (ay + by) / 2
-        rx = 2 * mx - cx
-        ry = 2 * my - cy
-        nfev += 1
-        fr = fun([rx, ry], *args)
-        if fr < fa:
-            if nfev >= maxfev:
-                full = True
-                continue
-            ex = 3 * mx - 2 * cx
-            ey = 3 * my - 2 * cy
-            nfev += 1
-            fe = fun([ex, ey], *args)
-            if fe < fr:
-                cx, cy, fc = ex, ey, fe
-            else:
-                cx, cy, fc = rx, ry, fr
-        elif fr < fb:
-            cx, cy, fc = rx, ry, fr
-        else:
-            if nfev >= maxfev:
-                full = True
-                continue
-            if fr < fc:
-                kx = 1.5 * mx - 0.5 * cx
-                ky = 1.5 * my - 0.5 * cy
-                nfev += 1
-                fk = fun([kx, ky], *args)
-                full = not fk <= fr
-            else:
-                kx = 0.5 * mx + 0.5 * cx
-                ky = 0.5 * my + 0.5 * cy
-                nfev += 1
-                fk = fun([kx, ky], *args)
-                full = not fk < fc
-            if full:  # shrink towards the best vertex
-                bx = ax + 0.5 * (bx - ax)
-                by = ay + 0.5 * (by - ay)
-                if nfev >= maxfev:
-                    continue
-                nfev += 1
-                fb = fun([bx, by], *args)
-                cx = ax + 0.5 * (cx - ax)
-                cy = ay + 0.5 * (cy - ay)
-                if nfev >= maxfev:
-                    continue
-                nfev += 1
-                fc = fun([cx, cy], *args)
-            else:
-                cx, cy, fc = kx, ky, fk
-        nit += 1
-    return [[ax, ay], [bx, by], [cx, cy]], [fa, fb, fc], nit, nfev
-
-
 def _refine(objective, x0, seed_sse, options=None):
     """Deterministic Nelder-Mead from the best grid point; returns the
     point as a list of floats and its SSE.
@@ -352,8 +141,7 @@ def _refine(objective, x0, seed_sse, options=None):
     """
     if options is None:
         options = {"xatol": 1e-7, "fatol": 1e-10 * (1.0 + abs(seed_sse))}
-    res = optimize.minimize(objective, x0, method=_nelder_mead,
-                            options=options)
+    res = _numerics.minimize(objective, x0, options)
     if np.isfinite(res.fun) and res.fun < seed_sse:
         return res.x.tolist(), float(res.fun)
     return list(x0), float(seed_sse)
@@ -477,6 +265,9 @@ class SESForecaster(_SmoothingForecaster):
         self.alpha = alpha
         super().__init__()
 
+    def _validate(self):
+        _check_coefficient("alpha", self.alpha)
+
     def _required_length(self, y):
         return 2 if self.alpha is None else 1
 
@@ -559,9 +350,8 @@ def _holt_sse_scalar(values, alpha, beta, phi, l0, b0):
     ``values`` is a list of floats.  The recursion uses the grid kernel's
     exact expressions, ``(1 - beta) * phi * trend`` grouped left to right
     included, so the result equals a one-candidate grid call bit for bit
-    (inf and nan included) and :func:`_nelder_mead`, the port of scipy's
-    Nelder-Mead, follows the same path whichever kernel feeds it; this one
-    is an order of magnitude faster per call.
+    (inf and nan included) and Nelder-Mead follows the same path whichever
+    kernel feeds it; this one is an order of magnitude faster per call.
     """
     level = l0
     trend = b0
@@ -584,10 +374,9 @@ class HoltForecaster(_SmoothingForecaster):
     are estimated by SSE minimisation together with the initial states;
     given ones stay fixed.  With every coefficient given nothing is
     estimated: the initial level is the first observation and the initial
-    trend the mean slope.  ``phi`` needs ``damped=True``.
+    trend the mean slope.  Given ``alpha`` and ``beta`` lie in [0, 1] and
+    ``phi`` in (0, 1]; ``phi`` needs ``damped=True``.
     """
-
-    _min_length = 3
 
     def __init__(
         self,
@@ -603,8 +392,14 @@ class HoltForecaster(_SmoothingForecaster):
         super().__init__()
 
     def _validate(self):
+        _check_coefficient("alpha", self.alpha)
+        _check_coefficient("beta", self.beta)
+        _check_coefficient("phi", self.phi, open_below=True)
         if self.phi is not None and not self.damped:
             raise ValueError("phi is only used with damped=True")
+
+    def _required_length(self, y):
+        return 3
 
     def _estimate(self, values):
         l0 = values[0]
@@ -699,7 +494,8 @@ class ThetaForecaster(_SmoothingForecaster):
     surrounding pipeline.
     """
 
-    _min_length = 3
+    def _required_length(self, y):
+        return 3
 
     def _fit(self, y):
         self.intercept_, self.slope_ = _trend_coefficients(

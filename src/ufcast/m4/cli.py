@@ -3,7 +3,9 @@
 ``run`` evaluates registry models over M4-format CSVs and writes
 JSON-lines results; ``compare`` reports percentage differences against
 published values; ``stats`` runs significance tests over per-series
-results and can render a critical-difference diagram as SVG.
+results and can render a critical-difference diagram as SVG.  A command
+that refuses its input prints why to stderr, writes no output file and
+exits with status 2.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 from pathlib import Path
 
 from ..evaluation import MASE_DENOMINATORS
-from ..exceptions import UnknownModelError
+from ..exceptions import UfcastError, UnknownModelError
 from .datasets import DATASETS
 from .published import (
     compare_aggregate,
@@ -110,8 +112,11 @@ def _cmd_compare(args) -> int:
     if aggregate is None:
         print("results file has no aggregate block", file=sys.stderr)
         return 2
-    published = load_published(args.published)
-    rows = compare_aggregate(aggregate, published)
+    try:
+        rows = compare_aggregate(aggregate, load_published(args.published))
+    except UfcastError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     Path(args.out).write_text(comparison_csv(rows), encoding="utf-8")
     print(comparison_text(rows))
     print(f"wrote {len(rows)} comparison cells -> {args.out}")
@@ -126,8 +131,13 @@ def _cmd_stats(args) -> int:
     if not records:
         print("results file has no records", file=sys.stderr)
         return 2
-    report = stats_report(records, test=args.test, metric=args.metric,
-                          alpha=args.alpha)
+    try:
+        report = stats_report(records, test=args.test, metric=args.metric,
+                              alpha=args.alpha)
+    except (UfcastError, ValueError) as exc:
+        # ValueError: Nemenyi's critical values stop at 30 models
+        print(exc, file=sys.stderr)
+        return 2
     Path(args.out).write_text(dumps_17g(report) + "\n", encoding="utf-8")
     print(f"wrote {args.test} report -> {args.out}")
     if args.svg:

@@ -14,8 +14,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from . import _numerics
 from .core import BaseEstimator, TimeSeries, _check_integer, as_series
 from .exceptions import (
     NonPositiveValuesError,
@@ -117,110 +117,6 @@ def classical_decompose(y, sp: int) -> SeasonalIndices:
     return SeasonalIndices(indices, phase=y.start_index, sp=sp)
 
 
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-
-
-def _unit_sign(v):
-    """``np.sign(v) + (v == 0)``: 1.0 for v >= 0 (either zero), -1.0 below,
-    nan for nan."""
-    return 1.0 if v >= 0 else -1.0 if v < 0 else math.nan
-
-
-def _bounded_brent(func, bounds, args=(), xatol=1e-5, maxiter=500,
-                   **unused):
-    """scipy's bounded Brent minimiser on Python floats.
-
-    A port of scipy 1.17's ``_minimize_scalar_bounded`` (Brent, *Algorithms
-    for Minimization without Derivatives*, 1973, ch. 5): the same golden
-    section and parabolic steps, tolerances, ``maxiter`` cap (counted in
-    function evaluations) and operand order, with ``abs`` and conditionals
-    in place of ``np.abs``, ``np.sign`` and ``np.maximum`` (nan propagates
-    as there), so ``x``, ``fun``, ``nfev``, ``nit`` and ``status`` equal
-    scipy's bit for bit.  The bounds are taken as given: callers check
-    them.  It is passed to :func:`scipy.optimize.minimize_scalar` as
-    ``method``, which adds the keywords collected in ``unused``.
-    """
-    a, b = bounds
-    fulc = a + _GOLDEN * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x, *args)
-    num = 1
-    fu = math.inf
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    flag = 0
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # parabolic fit
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _unit_sign(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN * e
-
-        step = abs(rat)
-        if not (step >= tol1 or step != step):  # np.maximum(step, tol1)
-            step = tol1
-        x = xf + _unit_sign(rat) * step
-        fu = func(x, *args)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxiter:
-            flag = 1
-            break
-
-    if xf != xf or fx != fx or fu != fu:
-        flag = 2
-    return optimize.OptimizeResult(x=xf, fun=fx, nfev=num, nit=num,
-                                   status=flag, success=flag == 0)
-
-
 class BaseTransformer(BaseEstimator):
     """fit / transform / inverse-transform over values-at-positions."""
 
@@ -292,10 +188,10 @@ class BoxCoxTransformer(BaseTransformer):
     ``transform: (y**lam - 1) / lam``;  ``inverse: (lam * x + 1)**(1/lam)``.
     The exponent maximises the Gaussian profile log-likelihood
     ``-T/2 * log(sigma2(lam)) + (lam - 1) * sum(log y)`` over
-    ``[lower, upper]`` by bounded Brent search (:func:`_bounded_brent`, a
-    port of scipy's ``method="bounded"`` on Python floats, run through
-    :func:`scipy.optimize.minimize_scalar`), which is deterministic.  The
-    bounds must be real numbers with ``0 < lower <= upper <= 1``.
+    ``[lower, upper]`` by bounded Brent search (the port of scipy's
+    ``method="bounded"`` in :mod:`ufcast._numerics`, on Python floats),
+    which is deterministic.  The bounds must be real numbers with
+    ``0 < lower <= upper <= 1``.
     """
 
     def __init__(self, lower: float = 1e-4, upper: float = 1.0 - 1e-4):
@@ -341,10 +237,8 @@ class BoxCoxTransformer(BaseTransformer):
             # a Python float, so that the search's steps run on floats
             return float(0.5 * n * np.log(var) - (lam - 1.0) * log_sum)
 
-        res = optimize.minimize_scalar(
-            neg_llf, bounds=(self.lower, self.upper), method=_bounded_brent,
-            options={"xatol": 1e-8},
-        )
+        res = _numerics.minimize_scalar(
+            neg_llf, (self.lower, self.upper), {"xatol": 1e-8})
         return float(np.clip(res.x, self.lower, self.upper))
 
     def transform_at(self, values, positions):

@@ -146,6 +146,11 @@ class TestPairedT:
         assert p == pytest.approx(2 * tail, abs=1e-10)
         assert p == pytest.approx(0.0742, abs=2e-4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_difference_rejected(self, bad):
+        with pytest.raises(NonFiniteInputError):
+            paired_t_test([1.0, bad, 3.0], [0.0, 0.0, 0.0])
+
     def test_swapping_negates_t(self):
         a = np.array([5.0, 7.0, 9.0, 6.0])
         b = np.array([4.0, 8.0, 7.0, 5.0])
@@ -176,6 +181,19 @@ class TestFriedman:
 
         tail, _ = integrate.quad(pdf, chi2, np.inf)
         assert p == pytest.approx(tail, rel=1e-9)
+
+    def test_nan_rank_rejected(self):
+        ranks = np.tile([1.0, 2.0, 3.0], (4, 1))
+        ranks[2] = np.nan
+        with pytest.raises(NonFiniteInputError):
+            friedman_test(RankMatrix(list("abc"), list(range(4)), ranks))
+
+    def test_nan_score_rejected(self):
+        scores = [[1.0, 2.0], [np.nan, 1.0], [2.0, 1.0]]
+        recs = [EvalRecord(f"s{i}", f"m{j}", smape=v, mase=1.0)
+                for i, row in enumerate(scores) for j, v in enumerate(row)]
+        with pytest.raises(NonFiniteInputError):
+            friedman_test(rank_models(recs))
 
     def test_full_ties_zero(self):
         ranks = np.full((6, 4), 2.5)

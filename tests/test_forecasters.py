@@ -143,6 +143,41 @@ class TestHolt:
             HoltForecaster(phi=0.9)
         assert HoltForecaster(damped=True, phi=0.9).phi == 0.9
 
+    @pytest.mark.parametrize("make", [
+        lambda v: SESForecaster(alpha=v),
+        lambda v: HoltForecaster(alpha=v),
+        lambda v: HoltForecaster(alpha=v, beta=0.1),
+        lambda v: HoltForecaster(beta=v),
+        lambda v: HoltForecaster(damped=True, phi=v),
+    ], ids=["ses-alpha", "holt-alpha", "holt-alpha-beta", "holt-beta",
+            "damped-phi"])
+    @pytest.mark.parametrize("value", [
+        1.5, -2.0, -1e-12, 1.0 + 1e-12, np.nan, np.inf, -np.inf, True, "0.5",
+    ], ids=repr)
+    def test_coefficient_out_of_range_rejected(self, make, value):
+        with pytest.raises(ValueError, match="must be a real number in"):
+            make(value)
+
+    @pytest.mark.parametrize("value", [0.0, np.float64(1.0), 1, 0.5])
+    def test_coefficient_edges_accepted(self, value):
+        y = seasonal_series(30, sp=1, slope=0.4, noise=0.05, seed=3)
+        assert SESForecaster(alpha=value).fit(y).alpha_ == value
+        fixed = HoltForecaster(damped=True, alpha=value, beta=value, phi=1.0)
+        p = fixed.fit(y).get_fitted_params()
+        assert (p["alpha"], p["beta"], p["phi"]) == (value, value, 1.0)
+
+    def test_phi_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            HoltForecaster(damped=True, phi=0.0)
+
+    def test_set_params_refuses_out_of_range_coefficient(self):
+        f = HoltForecaster(damped=True, alpha=0.3, phi=0.9)
+        with pytest.raises(ValueError, match="phi"):
+            f.set_params(alpha=0.5, phi=5.0)
+        assert (f.alpha, f.phi) == (0.3, 0.9)
+        with pytest.raises(ValueError, match="alpha"):
+            SESForecaster().set_params(alpha=-2.0)
+
     def test_constant_series_flat(self):
         f = HoltForecaster().fit(np.full(30, 4.0))
         params = f.get_fitted_params()

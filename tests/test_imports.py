@@ -1,11 +1,12 @@
 """No package module imports a name it never uses, or exports a name it
-does not define.
+does not define, and only ``ufcast._numerics`` imports scipy.
 
 No linter ships with the test environment, so this scans each module's
 top-level imports with ``ast`` instead.  A name counts as used when the
 module reads it anywhere (string annotations included) or lists it in
 ``__all__``; ``from __future__`` imports are directives, not names.  Every
-name in ``__all__`` must be an attribute of the imported module.
+name in ``__all__`` must be an attribute of the imported module.  The
+scipy scan reads every import statement, those inside functions too.
 """
 
 import ast
@@ -16,6 +17,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted((SRC / "ufcast").rglob("*.py"))
+NUMERICS = SRC / "ufcast" / "_numerics.py"
 
 
 def _imported(tree):
@@ -101,3 +103,42 @@ def test_scanner_flags_only_unused_names():
         "    pass\n"
     )
     assert unused_imports(source) == ["field (line 4)", "json (line 2)"]
+
+
+def scipy_imports(source: str) -> list[int]:
+    """Line numbers of the import statements that load scipy or a module
+    below it, wherever they stand."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "module", [m for m in MODULES if m != NUMERICS],
+    ids=[str(m.relative_to(SRC)) for m in MODULES if m != NUMERICS])
+def test_only_numerics_imports_scipy(module):
+    assert scipy_imports(module.read_text()) == []
+
+
+def test_scipy_scanner_sees_every_import_statement():
+    source = (
+        "import numpy, scipy\n"
+        "import scipy.optimize as so\n"
+        "from scipy import optimize\n"
+        "import scipyx\n"
+        "from .scipy import x\n"
+        "def f():\n"
+        "    from scipy.special import ndtr\n"
+        "    class C:\n"
+        "        import scipy.stats\n"
+    )
+    assert scipy_imports(source) == [1, 2, 3, 7, 9]
+    assert scipy_imports(NUMERICS.read_text())

@@ -879,6 +879,55 @@ class TestCli:
         assert not (tmp_path / "stats.json").exists()
         assert not (tmp_path / "cd.svg").exists()
 
+    @staticmethod
+    def _records_file(path, scores):
+        """A results file of records only: ``scores[model]`` lists each
+        series' sMAPE."""
+        path.write_text("".join(
+            json.dumps({"type": "record", "series_id": f"s{i}", "model": m,
+                        "smape": v, "mase": 1.0, "runtime_s": 0.0,
+                        "dataset": "yearly"}) + "\n"
+            for m, values in scores.items() for i, v in enumerate(values)))
+        return path
+
+    @pytest.mark.parametrize("test, scores, message", [
+        # a model scored exactly like another: the signed-rank test refuses
+        ("wilcoxon_holm", {"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0, 3.0]},
+         "all paired differences are zero"),
+        # Nemenyi's critical values stop at 30 models
+        ("nemenyi", {f"m{j:02d}": [j + 1.0, 40.0 - j] for j in range(31)},
+         "k <= 30"),
+        ("ttest", {"a": [1.0, float("nan"), 3.0], "b": [0.0, 0.0, 0.0]},
+         "not finite"),
+    ], ids=["wilcoxon_holm", "nemenyi", "ttest"])
+    def test_stats_refusal_exits_2(self, tmp_path, capsys, test, scores,
+                                   message):
+        from ufcast.m4.cli import main
+
+        results = self._records_file(tmp_path / "r.jsonl", scores)
+        code = main(["stats", "--results", str(results), "--test", test,
+                     "--out", str(tmp_path / "stats.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "wrote" not in captured.out
+        assert not (tmp_path / "stats.json").exists()
+
+    def test_compare_missing_reference_exits_2(self, mini_run, tmp_path,
+                                               capsys):
+        from ufcast.m4.cli import main
+
+        _, out, _ = mini_run
+        published = tmp_path / "pub.csv"
+        published.write_text("model,dataset,metric,value\n"
+                             "Naive,hourly,smape,1.0\n")
+        code = main(["compare", "--results", str(out), "--published",
+                     str(published), "--out", str(tmp_path / "cmp.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "no published value for" in captured.err
+        assert not captured.out
+        assert not (tmp_path / "cmp.csv").exists()
+
     def test_unknown_model_rejected(self, mini_m4_dir, tmp_path):
         from ufcast.m4.cli import main
 

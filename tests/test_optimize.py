@@ -12,13 +12,8 @@ import pytest
 import scipy.optimize
 
 from ufcast import forecasters
-from ufcast.forecasters import (
-    HoltForecaster,
-    SESForecaster,
-    ThetaForecaster,
-    _nelder_mead,
-)
-from ufcast.transforms import _bounded_brent
+from ufcast._numerics import _bounded_brent, _nelder_mead
+from ufcast.forecasters import HoltForecaster, SESForecaster, ThetaForecaster
 from tests.conftest import seasonal_series
 
 hypothesis = pytest.importorskip("hypothesis")

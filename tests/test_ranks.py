@@ -1,6 +1,6 @@
 """The in-package average ranking against ``scipy.stats.rankdata``.
 
-``ufcast.evaluation._average_ranks`` ranks every run's aggregate and the
+``ufcast._numerics._average_ranks`` ranks every run's aggregate and the
 Wilcoxon test's absolute differences without importing ``scipy.stats``;
 these properties pin it to scipy's ``method="average"`` byte for byte, on
 1-D and 2-D input, tie-heavy values (signed zeros, infinities, repeated
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ufcast.evaluation import _average_ranks
+from ufcast._numerics import _average_ranks
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given  # noqa: E402
