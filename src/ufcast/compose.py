@@ -84,9 +84,11 @@ class ReducedRegressionForecaster(BaseForecaster):
     def _predict_ahead(self, steps):
         w = self.window_length
         window = self._y.values[-w:].astype(float)  # astype copies
+        row = window[None, :]  # a view: each step sees the slid window
+        predict = self.regressor.predict
         preds = np.empty(int(steps.max()))
         for k in range(preds.size):
-            preds[k] = float(self.regressor.predict(window[None, :])[0])
+            preds[k] = float(predict(row)[0])
             window[:-1] = window[1:]
             window[-1] = preds[k]
         return preds[steps - 1]

@@ -50,6 +50,11 @@ class TimeSeries:
         absolute position ``start_index + i``.
     sp : int
         Seasonal periodicity (periods per year); ``1`` means non-seasonal.
+
+    The constructor checks and copies its input.  ``concat`` and ``islice``
+    build their results from series that were checked already, so they
+    skip both (an empty slice still raises ``SeriesTooShortError``);
+    ``with_values`` takes new values and checks them like the constructor.
     """
 
     __slots__ = ("values", "start_index", "sp")
@@ -60,15 +65,26 @@ class TimeSeries:
             arr = arr.reshape(-1)
         if arr.size < 1:
             raise SeriesTooShortError(1, arr.size)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteInputError("series contains NaN or infinite values")
         _check_integer("start_index", start_index)
         _check_integer("sp", sp, 1)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.values = arr
+        self.values = _frozen(arr.copy())
         self.start_index = int(start_index)
         self.sp = int(sp)
+
+    @classmethod
+    def _checked(cls, values: np.ndarray, start_index: int,
+                 sp: int) -> "TimeSeries":
+        """A series over ``values`` as they are: a non-empty, finite, 1-d
+        float array not writeable through ``values`` (see ``_frozen``),
+        with an ``int`` start and an ``int`` sp >= 1.  Only for values
+        taken from series that were checked already."""
+        series = cls.__new__(cls)
+        series.values = values
+        series.start_index = start_index
+        series.sp = sp
+        return series
 
     def __len__(self) -> int:
         return self.values.size
@@ -91,20 +107,31 @@ class TimeSeries:
             raise NonContiguousUpdateError(
                 f"expected continuation at {self.end_index + 1}, got {other.start_index}"
             )
-        return TimeSeries(
-            np.concatenate([self.values, other.values]), self.start_index, self.sp
-        )
+        values = _frozen(np.concatenate([self.values, other.values]))
+        return TimeSeries._checked(values, self.start_index, self.sp)
 
     def islice(self, start: int, stop: int) -> "TimeSeries":
         """Positional slice [start, stop) keeping absolute anchoring."""
-        return TimeSeries(
-            self.values[start:stop], self.start_index + start, self.sp
-        )
+        values = self.values[start:stop]  # a view: read-only like its base
+        if values.size < 1:
+            raise SeriesTooShortError(1, values.size)
+        return TimeSeries._checked(
+            values, int(self.start_index + start), self.sp)
 
     def __repr__(self) -> str:
         return (
             f"TimeSeries(n={len(self)}, start_index={self.start_index}, sp={self.sp})"
         )
+
+
+def _frozen(owned: np.ndarray) -> np.ndarray:
+    """A read-only view of ``owned``, an array no one else holds.  Unlike
+    the owner's, the view's read-only flag cannot be switched back on
+    while the owner stays read-only, so the values cannot be written
+    through ``values``; reaching the owner through ``.base`` or
+    reassigning ``values`` is outside the contract."""
+    owned.flags.writeable = False
+    return owned.view()
 
 
 def as_series(y, sp: int = 1, start_index: int = 0) -> TimeSeries:
@@ -184,7 +211,7 @@ class Forecast:
             raise ValueError(
                 f"forecast has {vals.size} values for {len(self.horizon)} steps"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise NonFiniteInputError("forecast contains non-finite values")
         vals = vals.copy()
         vals.flags.writeable = False
@@ -303,7 +330,7 @@ class BaseEstimator:
         return getattr(self, "_is_fitted", False)
 
     def _check_fitted(self):
-        if not self.is_fitted:
+        if not getattr(self, "_is_fitted", False):
             raise NotFittedError(f"{type(self).__name__} is not fitted")
 
     def __repr__(self) -> str:
@@ -318,6 +345,8 @@ def _check_integer(name: str, value, minimum: int | None = None):
     ``minimum`` (any integer when ``minimum`` is None).  Bools, integral
     floats (``2.0``) and strings are refused: numpy takes none of them as a
     count, size or index."""
+    if type(value) is int and (minimum is None or value >= minimum):
+        return
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
@@ -342,6 +371,13 @@ class BaseForecaster(BaseEstimator):
     from the training start.  ``_update_state`` is the cheap update path.
     The base class owns cutoff tracking, the training buffer, validation,
     horizon resolution and the in-sample / ahead split.
+
+    Inputs are checked once, at the public boundary: ``fit``, ``predict``,
+    ``update`` and ``update_predict`` check the fitted state, the series
+    and the horizon, and the hooks trust what they are given.  Values a
+    model computes are checked where they become a series or a forecast
+    (a transformer's output, ``Forecast``), so a non-finite result still
+    raises.
     """
 
     def _reset(self):
@@ -395,9 +431,9 @@ class BaseForecaster(BaseEstimator):
         """Forecast at the given horizon (negative steps = in-sample)."""
         self._check_fitted()
         fh = as_horizon(fh)
-        positions = fh.to_absolute(self.cutoff)
-        values = self._predict_at_positions(positions)
-        return Forecast(fh, values, cutoff=self.cutoff)
+        cutoff = self._y.end_index
+        values = self._predict_at_positions(fh.to_absolute(cutoff))
+        return Forecast(fh, values, cutoff=cutoff)
 
     def _predict_at_positions(self, positions: np.ndarray) -> np.ndarray:
         """Predictions at absolute positions (may include the cutoff).
@@ -407,10 +443,14 @@ class BaseForecaster(BaseEstimator):
         steps ``h >= 1``, the others to ``_predict_in_sample`` as offsets
         from the training start.  A position before the training start
         raises UnsupportedInSampleError, as do hooks for in-sample offsets
-        they do not define.
+        they do not define.  When every position is past the cutoff, in
+        any order, ``_predict_ahead`` gets them all in one call.
         """
         positions = np.asarray(positions)
         y = self._y
+        if positions.size and positions.min() > y.end_index:
+            return np.asarray(
+                self._predict_ahead(positions - y.end_index), dtype=float)
         out = np.empty(positions.size, dtype=float)
         ahead = positions > y.end_index
         if np.any(ahead):
@@ -495,7 +535,7 @@ class BaseForecaster(BaseEstimator):
                     y_test.islice(revealed, end), update_params=update_params
                 )
                 revealed = end
-            results.append((self.cutoff, self.predict(cv.fh)))
+            results.append((self._y.end_index, self.predict(cv.fh)))
         return results
 
     # -- inspection ----------------------------------------------------

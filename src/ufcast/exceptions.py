@@ -124,11 +124,14 @@ class UnknownModelError(UfcastError):
 
 
 class MalformedRowError(UfcastError):
-    """Unparseable row in a dataset file."""
+    """Unparseable row in a data file (the file named when ``path`` is)."""
 
-    def __init__(self, line_no, detail=""):
+    def __init__(self, line_no, detail="", path=None):
         self.line_no = line_no
+        self.path = path
         msg = f"malformed row at line {line_no}"
+        if path is not None:
+            msg += f" of {path}"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)

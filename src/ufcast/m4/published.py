@@ -8,10 +8,11 @@ per cell, rendered as CSV and as an aligned text table at three decimals.
 from __future__ import annotations
 
 import csv
+import math
 from importlib import resources
 from pathlib import Path
 
-from ..exceptions import MissingReferenceError
+from ..exceptions import MalformedRowError, MissingReferenceError
 
 __all__ = [
     "default_published_path",
@@ -22,6 +23,7 @@ __all__ = [
 ]
 
 _METRIC_KEYS = {"smape": "mean_smape", "mase": "mean_mase", "owa": "owa"}
+_COLUMNS = ("model", "dataset", "metric", "value")
 
 
 def default_published_path() -> Path:
@@ -30,14 +32,44 @@ def default_published_path() -> Path:
 
 
 def load_published(path=None) -> dict:
-    """Read a published-values CSV into {(model, dataset, metric): value}."""
+    """Read a published-values CSV into {(model, dataset, metric): value}.
+
+    Lines starting with ``#`` are comments.  A header without one of the
+    columns ``model``, ``dataset``, ``metric`` and ``value``, or a row
+    whose value is missing, not a number, zero or not finite, raises
+    MalformedRowError naming the file and the line.
+    """
     path = default_published_path() if path is None else path
     out = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = (line for line in fh if not line.startswith("#"))
-        for row in csv.DictReader(rows):
-            key = (row["model"], row["dataset"], row["metric"])
-            out[key] = float(row["value"])
+        kept = []  # file line number of each line the reader sees
+
+        def lines():
+            for line_no, line in enumerate(fh, start=1):
+                if not line.startswith("#"):
+                    kept.append(line_no)
+                    yield line
+
+        reader = csv.DictReader(lines())
+        if reader.fieldnames is None:  # an empty file
+            return out
+        for column in _COLUMNS:
+            if column not in reader.fieldnames:
+                raise MalformedRowError(
+                    kept[reader.line_num - 1], f"no {column!r} column", path)
+        for row in reader:
+            try:
+                value = float(row["value"])
+            except (TypeError, ValueError):  # None when the row is short
+                raise MalformedRowError(
+                    kept[reader.line_num - 1],
+                    f"value {row['value']!r} is not a number", path) from None
+            if value == 0.0 or not math.isfinite(value):  # a diff divides by it
+                raise MalformedRowError(
+                    kept[reader.line_num - 1],
+                    f"value {row['value']!r} is not a finite nonzero number",
+                    path)
+            out[(row["model"], row["dataset"], row["metric"])] = value
     return out
 
 

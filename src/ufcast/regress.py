@@ -160,7 +160,7 @@ class KNNRegressor(BaseEstimator):
         p = self._X.dot(q)
         hi = hi_half - p
         k = self.k
-        t = hi.min() if k == 1 else np.partition(hi, k - 1)[k - 1]
+        t = hi[hi.argmin()] if k == 1 else np.partition(hi, k - 1)[k - 1]
         lo = np.subtract(lo_half, p, out=p)
         # halved, a_i - B_i > a_j + B_j reads lo_i > hi_j + c q.q + eta
         return (lo <= t + (c * qq + eta)).nonzero()[0]
@@ -180,21 +180,21 @@ class KNNRegressor(BaseEstimator):
     def predict(self, X) -> np.ndarray:
         self._check_fitted()
         X = _as_matrix(X)
-        if X.shape[1] != self._X.shape[1]:
+        table, targets, k = self._X, self._y, self.k
+        if X.shape[1] != table.shape[1]:
             raise DimensionMismatchError(
-                f"expected {self._X.shape[1]} features, got {X.shape[1]}"
+                f"expected {table.shape[1]} features, got {X.shape[1]}"
             )
-        k = self.k
         out = np.empty(X.shape[0])
         for i, row in enumerate(X):
             rows = self._candidates(row)
             if k == 1 and rows is not None and rows.size == 1:
-                out[i] = self._y[rows[0]]
+                out[i] = targets[rows[0]]
                 continue
             d2 = self._distances(row, rows)
             nearest = (d2.argmin() if k == 1
                        else np.argsort(d2, kind="stable")[:k])
             if rows is not None:
                 nearest = rows[nearest]
-            out[i] = self._y[nearest] if k == 1 else self._y[nearest].mean()
+            out[i] = targets[nearest] if k == 1 else targets[nearest].mean()
         return out

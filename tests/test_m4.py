@@ -928,6 +928,39 @@ class TestCli:
         assert not captured.out
         assert not (tmp_path / "cmp.csv").exists()
 
+    @pytest.mark.parametrize("text, line_no, detail", [
+        ("# a comment\nmodel,dataset,metric,value\n"
+         "Naive,hourly,smape,1.0\nNaive,hourly,mase,n/a\n",
+         4, "value 'n/a' is not a number"),
+        ("# a comment\nmodel,dataset,value\nNaive,hourly,1.0\n",
+         2, "no 'metric' column"),
+        ("model,dataset,metric,value\nNaive,hourly,smape,0\n",
+         2, "value '0' is not a finite nonzero number"),
+        ("model,dataset,metric,value\nNaive,hourly,smape,1.0\n"
+         "Naive,hourly,mase,nan\n",
+         3, "value 'nan' is not a finite nonzero number"),
+    ], ids=["non-numeric-value", "missing-metric-column", "zero-value",
+            "nan-value"])
+    def test_compare_malformed_published_exits_2(self, mini_run, tmp_path,
+                                                 capsys, text, line_no,
+                                                 detail):
+        from ufcast.m4.cli import main
+
+        _, out, _ = mini_run
+        published = tmp_path / "pub.csv"
+        published.write_text(text)
+        with pytest.raises(MalformedRowError, match=detail) as err:
+            load_published(published)
+        assert err.value.line_no == line_no and err.value.path == published
+        code = main(["compare", "--results", str(out), "--published",
+                     str(published), "--out", str(tmp_path / "cmp.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert (f"malformed row at line {line_no} of {published}: {detail}"
+                in captured.err)
+        assert not captured.out
+        assert not (tmp_path / "cmp.csv").exists()
+
     def test_unknown_model_rejected(self, mini_m4_dir, tmp_path):
         from ufcast.m4.cli import main
 

@@ -284,6 +284,31 @@ class TestKNNRegressor:
             tracemalloc.stop()
         assert peak < X.nbytes == 134_400
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_multi_row_predict_matches_one_row_predicts(self, k, order):
+        # a multi-row predict ranks each row as a one-row predict does:
+        # against the whole table below the cutoff and, above it, for the
+        # queries past the filter's norm limit
+        rng = np.random.default_rng(3)
+        w = 12
+        for n in ((regress._FILTER_MIN_SIZE - 1) // w,
+                  regress._FILTER_MIN_SIZE // w + 1):
+            A = rng.normal(size=(n, w)) * 10.0 ** rng.integers(-3, 4, (n, w))
+            X = np.asarray(A, order=order)
+            y = rng.normal(size=n)
+            knn = KNNRegressor(k=k).fit(X, y)
+            assert knn._X.flags[f"{order}_CONTIGUOUS"]
+            Q = np.vstack([X[rng.integers(0, n, 8)]
+                           + 1e-3 * rng.normal(size=(8, w)),
+                           rng.normal(size=(8, w))])
+            for i in (2, 11):  # squares stay finite, q.q passes the limit
+                Q[i] *= 1e152 / np.abs(Q[i]).max()
+            got = knn.predict(Q)
+            one_by_one = np.concatenate([knn.predict(row) for row in Q])
+            assert got.tobytes() == one_by_one.tobytes()
+            assert got.tobytes() == _reference_knn(X, y, Q, k).tobytes()
+
 
 class TestFittedState:
     def test_predict_requires_fit(self):
