@@ -9,7 +9,11 @@
   :func:`minimize` and :func:`minimize_scalar`, which hand them to
   :func:`scipy.optimize.minimize` and :func:`scipy.optimize.minimize_scalar`
   as ``method``, so a wrapper of those two functions sees every
-  minimisation.
+  minimisation.  The general Nelder-Mead loop skips the whole periods of a
+  simplex that repeats bit for bit: on a run that ends at ``maxiter`` or
+  ``maxfev``, the objective is called fewer times than ``nfev``, which
+  still counts every evaluation scipy makes.  So the objective must be a
+  pure function of its argument, as every caller's objective is.
 - **Ranks.** :func:`_average_ranks` is ``scipy.stats.rankdata``'s average
   ranking without importing ``scipy.stats``, which costs about a third of a
   second and 20 MiB per interpreter.
@@ -27,6 +31,8 @@ module, so patching one attribute of this module sees every call.
 from __future__ import annotations
 
 import math
+import struct
+from itertools import chain
 
 import numpy as np
 # Not ``from scipy import optimize``: under CPython 3.11 that form, here,
@@ -72,7 +78,10 @@ def _nelder_mead(fun, x0, args=(), xatol=1e-4, fatol=1e-4, maxiter=None,
 
     The dimension picks the loop.  Two parameters (SES and Theta) run
     :func:`_nelder_mead_2d`, which keeps the three vertices in float
-    locals; any other size runs :func:`_nelder_mead_nd` on lists.
+    locals; any other size runs :func:`_nelder_mead_nd` on lists, which
+    counts the repeats of a cycle instead of evaluating them again.  On a
+    run that ends at a cap ``fun`` may then be called fewer times than
+    ``nfev``, so it must be a pure function of its argument.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float)).ravel().tolist()
     n = len(x0)
@@ -116,6 +125,18 @@ def _nelder_mead_nd(fun, args, sim, fsim, nfev, xatol, fatol, maxiter,
     wherever scipy sorts: for four or more values that sort need not be
     stable, and ties (several vertices at inf) are common, so another sort
     would move results.
+
+    An iteration depends only on the ordered simplex, its vertices and
+    values, when ``fun`` is pure.  So once that state repeats bit for bit
+    (``-0.0`` is not ``0.0``, and NaN payloads differ), every later period
+    repeats too, with the same iterations and evaluations.  :class:`_Cycles`
+    finds the repeat with one saved state and one comparison per
+    iteration; then the whole periods that end by both ``maxiter`` and
+    ``maxfev`` are added to ``nit`` and ``nfev`` without being run, and the
+    loop runs the rest as before.  A state that
+    repeats has failed the convergence test, so only runs that end at a
+    cap are shortened: there ``fun`` is called fewer times than ``nfev``,
+    while ``nit``, ``nfev``, the result and its status stay scipy's.
     """
     n = len(sim) - 1
 
@@ -134,7 +155,18 @@ def _nelder_mead_nd(fun, args, sim, fsim, nfev, xatol, fatol, maxiter,
     sim, fsim = by_value(sim, fsim)
 
     nit = 1
+    cycles = _Cycles(n)
     while nfev < maxfev and nit < maxiter:
+        repeat = cycles.see(sim, fsim, nit, nfev)
+        if repeat is not None:
+            # count the whole periods that end by both caps, run the rest
+            period, fev = repeat
+            k = min((maxiter - nit) // period, (maxfev - nfev) // fev)
+            if k < math.inf:  # both caps infinite: loop as scipy does
+                nit += int(k) * period
+                nfev += int(k) * fev
+                if nfev >= maxfev or nit >= maxiter:
+                    break
         try:
             best = sim[0]
             if (all(abs(v - b) <= xatol
@@ -184,6 +216,42 @@ def _nelder_mead_nd(fun, args, sim, fsim, nfev, xatol, fatol, maxiter,
             pass
         sim, fsim = by_value(sim, fsim)
     return sim, fsim, nit, nfev
+
+
+class _Cycles:
+    """Brent's cycle detection (Brent, BIT 20, 1980) over the ordered
+    simplices of one Nelder-Mead run, compared on exact bits: ``-0.0`` is
+    not ``0.0``, and NaN payloads differ.
+
+    One state is saved.  :meth:`see` compares each new state with it, the
+    values first and the vertices only when the values match, and moves
+    it to the new state whenever ``power`` iterations have passed since it
+    was saved; ``power`` then doubles.  A cycle of period ``p`` that
+    starts at iteration ``m`` is found by about iteration
+    ``2 max(m, p) + p``.
+    """
+
+    def __init__(self, n):
+        self._pack_values = struct.Struct(f"{n + 1}d").pack
+        self._pack_vertices = struct.Struct(f"{n * (n + 1)}d").pack
+        self._values = self._vertices = b""
+        self._nit = self._nfev = 0
+        self._power = 1
+
+    def see(self, sim, fsim, nit, nfev):
+        """The ``(iterations, evaluations)`` since the saved state, when
+        ``(sim, fsim)`` at iteration ``nit`` after ``nfev`` evaluations is
+        that state again; else None."""
+        values = self._pack_values(*fsim)
+        if values == self._values and (self._pack_vertices(
+                *chain.from_iterable(sim)) == self._vertices):
+            return nit - self._nit, nfev - self._nfev
+        if nit - self._nit == self._power:
+            self._values = values
+            self._vertices = self._pack_vertices(*chain.from_iterable(sim))
+            self._nit, self._nfev = nit, nfev
+            self._power *= 2
+        return None
 
 
 def _nelder_mead_2d(fun, args, sim, fsim, nfev, xatol, fatol, maxiter,

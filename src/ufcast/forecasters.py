@@ -137,7 +137,9 @@ def _refine(objective, x0, seed_sse, options=None):
 
     By default convergence thresholds are relative to the seed objective;
     ``options`` replaces them.  The result is only accepted when it beats
-    the seed.
+    the seed.  ``objective`` must be a pure function of its argument: on a
+    run that ends at a cap (Holt's ``maxiter``), the minimiser counts the
+    repeats of a cycle in ``nfev`` without calling it again.
     """
     if options is None:
         options = {"xatol": 1e-7, "fatol": 1e-10 * (1.0 + abs(seed_sse))}

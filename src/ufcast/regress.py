@@ -17,6 +17,8 @@ Small tables skip the filter.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import BaseEstimator, _check_integer
@@ -108,6 +110,12 @@ class KNNRegressor(BaseEstimator):
     ``_FILTER_MIN_SIZE`` cells, norms or queries past ``_FILTER_LIMIT`` and
     non-finite queries skip the filter and refine every row.  ``predict``
     writes no shared state.
+
+    A query row holding NaN or an infinity predicts NaN: no training row
+    is nearer to it than another.  Only the full-table path checks: the
+    filter takes a row only when ``q.q`` is finite, which proves it
+    finite, and a NaN or inf in the row makes every distance NaN or inf,
+    so the row is looked at only when its nearest distance is not finite.
     """
 
     def __init__(self, k: int = 1):
@@ -196,5 +204,9 @@ class KNNRegressor(BaseEstimator):
                        else np.argsort(d2, kind="stable")[:k])
             if rows is not None:
                 nearest = rows[nearest]
+            elif (not math.isfinite(d2[nearest if k == 1 else nearest[0]])
+                  and not np.isfinite(row).all()):
+                out[i] = math.nan
+                continue
             out[i] = targets[nearest] if k == 1 else targets[nearest].mean()
         return out

@@ -6,13 +6,14 @@ observe.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 from ufcast import forecasters
-from ufcast._numerics import _bounded_brent, _nelder_mead
+from ufcast._numerics import _bounded_brent, _Cycles, _nelder_mead
 from ufcast.forecasters import HoltForecaster, SESForecaster, ThetaForecaster
 from tests.conftest import seasonal_series
 
@@ -69,8 +70,32 @@ def _problems(draw):
     return x0, centre, box, step
 
 
+# simplices that stop changing (all period 1) under Holt's options: the
+# general loop counts the repeats instead of evaluating them, once with a
+# maxfev that falls inside the periods it would otherwise count
+_CAP = {"xatol": 1e-8, "fatol": 1e-12, "maxiter": 4000}
+_CYCLES = [
+    (([2.59, 2.29, -0.09], [1.94, -1.06, 0.9], 0.38, 0.01), _CAP),
+    (([2.59, 2.29, -0.09], [1.94, -1.06, 0.9], 0.38, 0.01),
+     {**_CAP, "maxfev": 1003}),
+    (([-1.72, 0.6, -0.79, -1.25], [1.47, 0.42, 1.82, 1.55], 0.58, 0.01),
+     _CAP),
+    (([-2.0, 2.71, 0.89, 1.22, -2.31], [-0.75, -0.63, 1.18, -0.97, -0.99],
+      2.93, 0.01), _CAP),
+    (([-2.41, 2.38, -0.05, -0.66, -2.9, -0.59],
+      [-0.87, -1.37, 1.43, 1.24, 0.25, -1.46], 1.75, 0.5), _CAP),
+]
+
+
+def _cycle_examples(test):
+    for problem, options in _CYCLES:
+        test = example(problem=problem, options=options)(test)
+    return test
+
+
 @settings(max_examples=200)
 @given(problem=_problems(), options=_OPTIONS)
+@_cycle_examples
 # simplices of four and seven vertices tied on inf, where np.argsort orders
 # equal values differently from a stable sort
 @example(problem=([0.0, 0.0, 0.0], [0.0, 1.0, 1.0], 1.0, 0.0), options={})
@@ -94,6 +119,42 @@ def test_port_matches_scipy_bit_for_bit(problem, options):
                                          options=options)
     assert _summary(ours) == _summary(theirs)
     assert ours.success == theirs.success
+
+
+@pytest.mark.parametrize("problem, options", _CYCLES)
+def test_cycle_examples_count_repeats_without_calling(problem, options):
+    # the examples above reach a repeat, so they test the skip
+    x0, centre, box, step = problem
+    fun = _boxed_objective(centre, box, step)
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return fun(x)
+
+    res = scipy.optimize.minimize(counted, x0, method=_nelder_mead,
+                                  options=options)
+    assert res.status in (1, 2) and calls < res.nfev
+
+
+def test_cycles_tell_zeros_and_nans_apart():
+    # states that differ only in the sign of a zero, or in a NaN's
+    # payload, are different states; the same bits again are a repeat
+    nan = math.nan
+    other_nan = struct.unpack("d", struct.pack("Q", 0x7FF8000000000001))[0]
+    for first, second in [
+            (([[0.0], [1.0]], [2.0, 3.0]), ([[-0.0], [1.0]], [2.0, 3.0])),
+            (([[1.0], [2.0]], [0.0, 3.0]), ([[1.0], [2.0]], [-0.0, 3.0])),
+            (([[1.0], [2.0]], [0.0, nan]), ([[1.0], [2.0]], [0.0, other_nan])),
+    ]:
+        cycles = _Cycles(1)
+        assert cycles.see(*first, 1, 2) is None  # saved
+        assert cycles.see(*second, 2, 3) is None
+        assert cycles.see(*first, 3, 5) == (2, 3)
+        cycles = _Cycles(1)
+        assert cycles.see(*first, 1, 2) is None
+        assert cycles.see(*first, 2, 4) == (1, 2)
 
 
 def _scalar_objective(kind, centre, step):
@@ -196,6 +257,35 @@ def test_kernels_get_python_floats(model, series, monkeypatch):
     bad = {type(v).__name__ for args in calls for v in args
            if type(v) is not float}
     assert not bad
+
+
+def test_capped_fit_counts_repeated_cycles_without_calling(monkeypatch):
+    # a damped fit that ends at the 4000-iteration cap: its simplex repeats
+    # long before, so the objective runs far fewer times than nfev counts,
+    # while x, fun, nit, nfev and status stay scipy's
+    original = scipy.optimize.minimize
+    seen = []
+
+    def minimize(fun, x0, **kwargs):
+        calls = 0
+
+        def counted(x, *a):
+            nonlocal calls
+            calls += 1
+            return fun(x, *a)
+
+        res = original(counted, x0, **kwargs)
+        theirs = original(fun, x0, **{**kwargs, "method": "Nelder-Mead"})
+        seen.append((res, calls, theirs))
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize", minimize)
+    HoltForecaster(damped=True).fit(
+        seasonal_series(n=45, sp=1, amp=0.0, noise=0.1, seed=55))
+    [(res, calls, theirs)] = seen
+    assert _summary(res) == _summary(theirs)
+    assert (res.nit, res.nfev, res.status) == (4000, 20649, 2)
+    assert calls == 6985
 
 
 @pytest.mark.parametrize("model", ["ses", "damped"])

@@ -27,9 +27,13 @@ def _given_data(test):
 
 
 def _reference_knn(X, y, Q, k):
-    """The straight per-row loop: fresh differences, stable full sort."""
+    """The straight per-row loop: fresh differences, stable full sort; NaN
+    for a row holding NaN or an infinity."""
     out = np.empty(Q.shape[0])
     for i, row in enumerate(Q):
+        if not np.isfinite(row).all():
+            out[i] = np.nan
+            continue
         d2 = np.sum((X - row) ** 2, axis=1)
         nearest = np.argsort(d2, kind="stable")[:k]
         out[i] = y[nearest].mean()
@@ -143,6 +147,23 @@ class TestKNNRegressor:
         # a NaN distance would be argmin's pick but the stable sort's last
         with pytest.raises(ValueError, match="finite"):
             KNNRegressor(k=1).fit(X, y)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_non_finite_query_row_predicts_nan(self, k, filtered):
+        # every distance is NaN or inf, so argmin/argsort alone would pick
+        # row 0 (k=1) or the first k rows; the finite row still predicts
+        X = np.arange(12.0).reshape(6, 2)
+        y = np.arange(6.0) * 10
+        Q = [[np.nan, 5.0], [11.0, np.inf], [-np.inf, 0.0], [2.0, 3.0]]
+        size = 0 if filtered else regress._FILTER_MIN_SIZE
+        with np.errstate(invalid="ignore", over="ignore"), \
+                mock.patch.object(regress, "_FILTER_MIN_SIZE", size):
+            knn = KNNRegressor(k=k).fit(X, y)
+            assert (knn._bounds is not None) is filtered
+            got = knn.predict(Q)
+        assert np.isnan(got[:3]).all()
+        assert got[3] == (10.0 if k == 1 else 5.0)
 
     @_given_data
     def test_predict_matches_reference_bitwise(self, data):
