@@ -1,6 +1,22 @@
 """Numerical routines shared by the estimators; the only module of
-``ufcast`` that imports scipy.
+``ufcast`` that imports scipy, and the only one that computes a value
+whose rounding depends on the CPU path.
 
+- **Rounding-sensitive kernels.** Every inner or matrix product,
+  convolution, least-squares solve, logarithm and non-integer power of
+  the package, whose last bits depend on the BLAS kernel or the SIMD loop
+  numpy picks at run time: :func:`lag_products` (autocorrelations),
+  :func:`moving_average` (classical decomposition),
+  :func:`least_squares`, with :func:`trend_coefficients` on it (Theta's
+  line, :class:`~ufcast.forecasters.PolynomialTrendForecaster`,
+  :class:`~ufcast.regress.LinearRegressor`), :func:`matvec`, with
+  :func:`polyval` on it (the polynomial and linear predictions),
+  :func:`log`, :func:`boxcox` and :func:`boxcox_inverse` (Box-Cox), and
+  :func:`damped_sums` (the damped trend's forecast).  Each is the
+  expression its callers used before, on the same operands, so the same
+  bits.  ``tests/test_imports.py`` fails on such an op anywhere else, but
+  for the KNN filter of :mod:`ufcast.regress`, whose rounding bound makes
+  its output independent of the path.
 - **Optimisers.** :func:`_nelder_mead` (Nelder & Mead 1965), which fits
   the smoothing models, and :func:`_bounded_brent` (Brent 1973, ch. 5),
   which fits Box-Cox's exponent, are ports of scipy 1.17's
@@ -130,13 +146,13 @@ def _nelder_mead_nd(fun, args, sim, fsim, nfev, xatol, fatol, maxiter,
     values, when ``fun`` is pure.  So once that state repeats bit for bit
     (``-0.0`` is not ``0.0``, and NaN payloads differ), every later period
     repeats too, with the same iterations and evaluations.  :class:`_Cycles`
-    finds the repeat with one saved state and one comparison per
-    iteration; then the whole periods that end by both ``maxiter`` and
-    ``maxfev`` are added to ``nit`` and ``nfev`` without being run, and the
-    loop runs the rest as before.  A state that
-    repeats has failed the convergence test, so only runs that end at a
-    cap are shortened: there ``fun`` is called fewer times than ``nfev``,
-    while ``nit``, ``nfev``, the result and its status stay scipy's.
+    finds the repeat by comparing each state with the previous one and
+    with one saved state; then the whole periods that end by both
+    ``maxiter`` and ``maxfev`` are added to ``nit`` and ``nfev`` without
+    being run, and the loop runs the rest as before.  A state that repeats
+    has failed the convergence test, so only runs that end at a cap are
+    shortened: there ``fun`` is called fewer times than ``nfev``, while
+    ``nit``, ``nfev``, the result and its status stay scipy's.
     """
     n = len(sim) - 1
 
@@ -219,15 +235,17 @@ def _nelder_mead_nd(fun, args, sim, fsim, nfev, xatol, fatol, maxiter,
 
 
 class _Cycles:
-    """Brent's cycle detection (Brent, BIT 20, 1980) over the ordered
-    simplices of one Nelder-Mead run, compared on exact bits: ``-0.0`` is
-    not ``0.0``, and NaN payloads differ.
+    """Repeats of the ordered simplex of one Nelder-Mead run, compared on
+    exact bits: ``-0.0`` is not ``0.0``, and NaN payloads differ.
 
-    One state is saved.  :meth:`see` compares each new state with it, the
-    values first and the vertices only when the values match, and moves
-    it to the new state whenever ``power`` iterations have passed since it
-    was saved; ``power`` then doubles.  A cycle of period ``p`` that
-    starts at iteration ``m`` is found by about iteration
+    :meth:`see` compares each new state with two others, the values first
+    and the vertices only when the values match.  The first is the
+    previous iteration's state, so a simplex that stops changing (period
+    1, the repeat that capped Holt and Damped fits reach) is found at the
+    next iteration.  The second is Brent's (Brent, BIT 20, 1980): one saved
+    state, moved to the new one whenever ``power`` iterations have passed
+    since it was saved, ``power`` then doubling.  A cycle of period ``p``
+    that starts at iteration ``m`` is found by about iteration
     ``2 max(m, p) + p``.
     """
 
@@ -237,18 +255,34 @@ class _Cycles:
         self._values = self._vertices = b""
         self._nit = self._nfev = 0
         self._power = 1
+        # the previous state: packed values, vertices, nit and nfev.  The
+        # loop replaces items of the list it passes, never a vertex's
+        # coordinates, so a shallow copy of that list keeps the vertices.
+        self._last = (b"", [], 0, 0)
+
+    def _pack(self, sim):
+        return self._pack_vertices(*chain.from_iterable(sim))
 
     def see(self, sim, fsim, nit, nfev):
-        """The ``(iterations, evaluations)`` since the saved state, when
+        """The ``(iterations, evaluations)`` since an earlier state, when
         ``(sim, fsim)`` at iteration ``nit`` after ``nfev`` evaluations is
         that state again; else None."""
         values = self._pack_values(*fsim)
-        if values == self._values and (self._pack_vertices(
-                *chain.from_iterable(sim)) == self._vertices):
-            return nit - self._nit, nfev - self._nfev
+        last_values, last_sim, last_nit, last_nfev = self._last
+        self._last = (values, list(sim), nit, nfev)
+        vertices = None
+        if values == last_values:
+            vertices = self._pack(sim)
+            if vertices == self._pack(last_sim):
+                return nit - last_nit, nfev - last_nfev
+        if values == self._values:
+            if vertices is None:
+                vertices = self._pack(sim)
+            if vertices == self._vertices:
+                return nit - self._nit, nfev - self._nfev
         if nit - self._nit == self._power:
             self._values = values
-            self._vertices = self._pack_vertices(*chain.from_iterable(sim))
+            self._vertices = self._pack(sim) if vertices is None else vertices
             self._nit, self._nfev = nit, nfev
             self._power *= 2
         return None
@@ -509,3 +543,79 @@ def ndtr(x) -> float:
     """Standard normal distribution function."""
     from scipy import special
     return float(special.ndtr(x))
+
+
+# ---------------------------------------------------------------------------
+# rounding-sensitive kernels
+# ---------------------------------------------------------------------------
+#
+# The path is picked by the CPU and by ``OPENBLAS_CORETYPE`` and
+# ``NPY_DISABLE_CPU_FEATURES`` (``python -m tests.cpu_paths`` runs each).
+# Elementwise ``+ - * /``, ``sqrt`` and ``.sum()`` round the same on every
+# path tried, so they stay with their callers.
+
+def lag_products(x, max_lag) -> np.ndarray:
+    """The lagged inner products ``x[k:] . x[:n - k]`` of the 1-d array
+    ``x``, for k = 0 .. ``max_lag``."""
+    n = x.size
+    return np.array([np.dot(x[k:], x[:n - k]) for k in range(max_lag + 1)])
+
+
+def moving_average(x, sp) -> np.ndarray:
+    """The centred moving average of window ``sp`` over ``x``, where the
+    whole window lies in ``x``: for even ``sp`` the 2 x sp average, with
+    half weights at its ends.  Entry ``i`` is centred on ``x[i + sp // 2]``."""
+    if sp % 2 == 0:
+        weights = np.full(sp + 1, 1.0 / sp)
+        weights[0] = weights[-1] = 0.5 / sp
+    else:
+        weights = np.full(sp, 1.0 / sp)
+    return np.convolve(x, weights, mode="valid")
+
+
+def least_squares(a, b) -> np.ndarray:
+    """The minimum-norm least-squares solution ``coef`` of ``a @ coef = b``
+    (LAPACK's SVD-based ``gelsd``)."""
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def matvec(a, x):
+    """``a @ x``: the matrix-vector product, or the inner product when ``a``
+    is 1-d."""
+    return a @ x
+
+
+def trend_coefficients(values, degree) -> np.ndarray:
+    """Coefficients, constant term first, of the least-squares polynomial
+    of ``degree`` through ``values`` in the 0-based position."""
+    design = np.vander(np.arange(len(values), dtype=float), degree + 1,
+                       increasing=True)
+    return least_squares(design, values)
+
+
+def polyval(coef, positions) -> np.ndarray:
+    """The polynomial with coefficients ``coef``, constant term first, at
+    ``positions`` (an array)."""
+    return matvec(np.vander(positions.astype(float), len(coef),
+                            increasing=True), coef)
+
+
+def log(x):
+    """The natural logarithm, elementwise: ``np.log(x)``."""
+    return np.log(x)
+
+
+def boxcox(x, lam):
+    """The Box-Cox transform ``(x**lam - 1) / lam`` of positive ``x``."""
+    return (x ** lam - 1.0) / lam
+
+
+def boxcox_inverse(z, lam):
+    """The inverse Box-Cox transform ``(lam * z + 1)**(1 / lam)``; NaN where
+    ``lam * z + 1`` is negative."""
+    return (lam * z + 1.0) ** (1.0 / lam)
+
+
+def damped_sums(phi, h) -> np.ndarray:
+    """``phi + phi**2 + ... + phi**j`` for j = 1 .. ``h``."""
+    return np.cumsum(phi ** np.arange(1, h + 1))

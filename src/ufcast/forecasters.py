@@ -8,6 +8,13 @@ coefficients (0.01 to 0.99, step 0.02) seeds a Nelder-Mead refinement that
 also adjusts the initial states.  The refinement is the port of scipy's
 Nelder-Mead in :mod:`ufcast._numerics` (same steps, same results, on Python
 floats).  Everything is deterministic.
+
+The values whose rounding depends on the CPU path come from the kernels of
+:mod:`ufcast._numerics`: the least-squares trend lines of Theta and
+:class:`PolynomialTrendForecaster` (``trend_coefficients``), the
+polynomial's predictions (``polyval``) and the damped trend's sums of
+powers of phi (``damped_sums``).  The smoothing recursions use only
+``+ - * /``.
 """
 
 from __future__ import annotations
@@ -453,8 +460,7 @@ class HoltForecaster(_SmoothingForecaster):
 
     def _predict_ahead(self, steps):
         if self.damped:
-            # cumulative phi + phi^2 + ... + phi^h
-            damp = np.cumsum(self.phi_ ** np.arange(1, steps.max() + 1))
+            damp = _numerics.damped_sums(self.phi_, steps.max())
             return self._level + damp[steps - 1] * self._trend
         return self._level + steps * self._trend
 
@@ -477,14 +483,6 @@ class HoltForecaster(_SmoothingForecaster):
 # theta
 # ---------------------------------------------------------------------------
 
-def _trend_coefficients(values, degree):
-    """Coefficients, constant term first, of the least-squares polynomial
-    of ``degree`` through ``values`` in the 0-based position."""
-    design = np.vander(np.arange(len(values), dtype=float), degree + 1,
-                       increasing=True)
-    return np.linalg.lstsq(design, values, rcond=None)[0]
-
-
 class ThetaForecaster(_SmoothingForecaster):
     """Two-line theta method with equal combination weights.
 
@@ -500,7 +498,7 @@ class ThetaForecaster(_SmoothingForecaster):
         return 3
 
     def _fit(self, y):
-        self.intercept_, self.slope_ = _trend_coefficients(
+        self.intercept_, self.slope_ = _numerics.trend_coefficients(
             y.values, 1).tolist()
         super()._fit(y)
 
@@ -551,14 +549,13 @@ class PolynomialTrendForecaster(BaseForecaster):
         return self.degree + 1
 
     def _fit(self, y):
-        self.coef_ = _trend_coefficients(y.values, self.degree)
+        self.coef_ = _numerics.trend_coefficients(y.values, self.degree)
 
     def _predict_ahead(self, steps):
         return self._predict_in_sample((len(self._y) - 1) + steps)
 
     def _predict_in_sample(self, rel):
-        powers = np.vander(rel.astype(float), self.degree + 1, increasing=True)
-        return powers @ self.coef_
+        return _numerics.polyval(self.coef_, rel)
 
     def _get_fitted_params(self):
         return {f"coef_{i}": float(c) for i, c in enumerate(self.coef_)}

@@ -3,7 +3,9 @@
 Two deterministic reference implementations: minimum-norm least squares
 (pseudoinverse, so collinear designs stay well-defined) and k-nearest
 neighbours with stable index-order tie-breaking.  Anything exposing
-``fit(X, y)`` / ``predict(X)`` plugs into the same seam.
+``fit(X, y)`` / ``predict(X)`` plugs into the same seam.  Least squares
+solves and predicts with the kernels of :mod:`ufcast._numerics`
+(``least_squares``, ``matvec``), whose rounding depends on the CPU path.
 
 The neighbour search filters, then refines.  A matrix-vector product and
 the row norms give each squared distance to within a strict rounding-error
@@ -12,7 +14,9 @@ brute-force neighbours; the bound after Higham, *Accuracy and Stability of
 Numerical Algorithms*, 2002, sec. 3.1), which rules out the rows that
 cannot be among the k nearest.  The one exact distance kernel then ranks
 the rows left, so predictions are bit for bit those of ranking every row.
-Small tables skip the filter.
+Small tables skip the filter.  The filter's products are the one place
+outside :mod:`ufcast._numerics` whose rounding depends on the CPU path:
+its bound covers any rounding they may have, so predictions do not.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 
 import numpy as np
 
+from . import _numerics
 from .core import BaseEstimator, _check_integer
 from .exceptions import DimensionMismatchError, KTooLargeError
 
@@ -52,12 +57,11 @@ class LinearRegressor(BaseEstimator):
         if self.fit_intercept:
             self._x_mean = X.mean(axis=0)
             y_mean = y.mean()
-            coef, *_ = np.linalg.lstsq(X - self._x_mean, y - y_mean, rcond=None)
-            self.coef_ = coef
-            self.intercept_ = float(y_mean - self._x_mean @ coef)
+            self.coef_ = _numerics.least_squares(X - self._x_mean, y - y_mean)
+            self.intercept_ = float(
+                y_mean - _numerics.matvec(self._x_mean, self.coef_))
         else:
-            coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-            self.coef_ = coef
+            self.coef_ = _numerics.least_squares(X, y)
             self.intercept_ = 0.0
         self._n_features = X.shape[1]
         self._is_fitted = True
@@ -70,7 +74,7 @@ class LinearRegressor(BaseEstimator):
             raise DimensionMismatchError(
                 f"expected {self._n_features} features, got {X.shape[1]}"
             )
-        return X @ self.coef_ + self.intercept_
+        return _numerics.matvec(X, self.coef_) + self.intercept_
 
 
 # Below this many table cells (n * w) the filter costs more than it saves,

@@ -5,6 +5,12 @@ operate on raw values at explicit absolute positions, which is what lets
 pipelines inverse-transform forecasts that live beyond the training range
 (or, for in-sample work, inside it).  ``transform`` / ``inverse_transform``
 are the series-level conveniences.
+
+The values whose rounding depends on the CPU path come from the kernels of
+:mod:`ufcast._numerics`: the autocorrelations' lagged products
+(``lag_products``), the decomposition's moving average
+(``moving_average``), and Box-Cox's logarithms and powers (``log``,
+``boxcox``, ``boxcox_inverse``).
 """
 
 from __future__ import annotations
@@ -36,14 +42,10 @@ __all__ = [
 def autocorrelations(values: np.ndarray, max_lag: int) -> np.ndarray:
     """Sample autocorrelations r_1 .. r_max_lag (biased, denominator T)."""
     values = np.asarray(values, dtype=float)
-    centered = values - values.mean()
-    denom = float(np.dot(centered, centered))
-    if denom <= 0.0:
+    products = _numerics.lag_products(values - values.mean(), max_lag)
+    if products[0] <= 0.0:
         return np.zeros(max_lag)
-    return np.array([
-        float(np.dot(centered[lag:], centered[:-lag])) / denom
-        for lag in range(1, max_lag + 1)
-    ])
+    return products[1:] / products[0]
 
 
 def seasonality_test(y, sp: int, critical: float = 1.645,
@@ -103,13 +105,8 @@ def classical_decompose(y, sp: int) -> SeasonalIndices:
         raise NonPositiveValuesError(
             "multiplicative decomposition requires positive values"
         )
-    if sp % 2 == 0:
-        weights = np.full(sp + 1, 1.0 / sp)
-        weights[0] = weights[-1] = 0.5 / sp
-    else:
-        weights = np.full(sp, 1.0 / sp)
-    trend = np.convolve(values, weights, mode="valid")
-    offset = (weights.size - 1) // 2
+    trend = _numerics.moving_average(values, sp)
+    offset = sp // 2
     ratios = values[offset:offset + trend.size] / trend
     seasons = (np.arange(trend.size) + offset) % sp
     indices = np.array([ratios[seasons == s].mean() for s in range(sp)])
@@ -153,7 +150,9 @@ class Deseasonalizer(BaseTransformer):
     are decomposition indices estimated and applied (otherwise the
     transformer is the identity).  Index lookup is by absolute position, so
     it works identically for in-sample positions and forecasts beyond the
-    cutoff.
+    cutoff.  ``critical`` must be a finite real number > 0 and
+    ``min_cycles`` an integer >= 2, checked at construction and by
+    ``set_params``.
     """
 
     def __init__(self, sp: int | None = None, critical: float = 1.645,
@@ -166,6 +165,14 @@ class Deseasonalizer(BaseTransformer):
     def _validate(self):
         if self.sp is not None:
             _check_integer("sp", self.sp, 1)
+        critical = self.critical
+        if (isinstance(critical, bool)
+                or not isinstance(critical, numbers.Real)
+                or not (math.isfinite(critical) and critical > 0)):
+            raise ValueError(
+                f"critical must be a finite real number > 0, got {critical!r}")
+        # decomposition needs two full seasons
+        _check_integer("min_cycles", self.min_cycles, 2)
 
     def _fit(self, y):
         sp = self.sp if self.sp is not None else y.sp
@@ -223,11 +230,11 @@ class BoxCoxTransformer(BaseTransformer):
             # any exponent is a perfect fit for a constant series
             return self.upper
 
-        log_sum = float(np.sum(np.log(values)))
+        log_sum = float(np.sum(_numerics.log(values)))
         n = values.size
 
         def neg_llf(lam):
-            z = (values ** lam - 1.0) / lam
+            z = _numerics.boxcox(values, lam)
             # z.var() without numpy's Python wrapper: the same ufuncs on
             # the same operands, so the same bits
             d = z - z.sum() / n
@@ -235,7 +242,7 @@ class BoxCoxTransformer(BaseTransformer):
             if var <= 0 or not np.isfinite(var):
                 return np.inf
             # a Python float, so that the search's steps run on floats
-            return float(0.5 * n * np.log(var) - (lam - 1.0) * log_sum)
+            return float(0.5 * n * _numerics.log(var) - (lam - 1.0) * log_sum)
 
         res = _numerics.minimize_scalar(
             neg_llf, (self.lower, self.upper), {"xatol": 1e-8})
@@ -245,14 +252,14 @@ class BoxCoxTransformer(BaseTransformer):
         values = np.asarray(values, dtype=float)
         if np.any(values <= 0):
             raise NonPositiveValuesError("power transform requires positive values")
-        return (values ** self.lambda_ - 1.0) / self.lambda_
+        return _numerics.boxcox(values, self.lambda_)
 
     def inverse_at(self, values, positions):
         values = np.asarray(values, dtype=float)
         # out-of-domain inputs (lam*x + 1 <= 0) yield NaN and surface as a
         # non-finite-forecast error downstream rather than a warning here
         with np.errstate(invalid="ignore", over="ignore"):
-            return (self.lambda_ * values + 1.0) ** (1.0 / self.lambda_)
+            return _numerics.boxcox_inverse(values, self.lambda_)
 
 
 class Standardizer(BaseTransformer):

@@ -1,16 +1,19 @@
 """No package module imports a name it never uses, or exports a name it
-does not define, and only ``ufcast._numerics`` imports scipy.
+does not define; only ``ufcast._numerics`` imports scipy, and only it
+calls a float op whose rounding depends on the CPU path.
 
 No linter ships with the test environment, so this scans each module's
 top-level imports with ``ast`` instead.  A name counts as used when the
 module reads it anywhere (string annotations included) or lists it in
 ``__all__``; ``from __future__`` imports are directives, not names.  Every
 name in ``__all__`` must be an attribute of the imported module.  The
-scipy scan reads every import statement, those inside functions too.
+scipy scan reads every import statement, those inside functions too, and
+the rounding scan reads every node.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -142,3 +145,132 @@ def test_scipy_scanner_sees_every_import_statement():
     )
     assert scipy_imports(source) == [1, 2, 3, 7, 9]
     assert scipy_imports(NUMERICS.read_text())
+
+
+# Ops whose last bits depend on the BLAS kernel or the SIMD path numpy
+# picks at run time: products, convolutions, least squares (``polyfit``
+# solves one), covariances, logarithms, exponentials and powers.
+# ``np.logical_*`` and ``np.expand_dims`` are not among them.
+_NUMPY_OPS = re.compile(
+    r"dot|matmul|einsum|inner|vdot|tensordot|convolve|correlate|linalg"
+    r"|polyfit|cov|corrcoef|(float_)?power|log(1p|2|10|addexp2?)?"
+    r"|exp(m1|2)?")
+_MATH_OPS = re.compile(r"pow|log(1p|2|10)?|exp(m1|2)?")
+_OP_MODULES = {"np": _NUMPY_OPS, "numpy": _NUMPY_OPS, "math": _MATH_OPS}
+
+# The one site outside ``_numerics`` allowed such ops, by module and the
+# source of each call.  The KNN filter bounds each squared distance with a
+# matrix-vector product, the query's norm and the fitted rows' norms, and
+# its bound covers any summation order or FMA the BLAS may use; the exact
+# kernel then ranks the rows left.  So predictions do not depend on how
+# these products round.
+ALLOWED = {
+    "ufcast/regress.py": {
+        "q.dot(q)",
+        "self._X.dot(q)",
+        "np.einsum('ij,ij->i', X, X)",
+    },
+}
+
+
+def _integer_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _banned_attribute(node) -> bool:
+    """``np.<op>``, ``numpy.<op>``, ``math.<op>`` or any ``.dot``."""
+    if node.attr == "dot":
+        return True
+    ops = (_OP_MODULES.get(node.value.id)
+           if isinstance(node.value, ast.Name) else None)
+    return ops is not None and ops.fullmatch(node.attr) is not None
+
+
+def _banned_import(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.linalg")
+                   for alias in node.names)
+    if not isinstance(node, ast.ImportFrom) or node.level:
+        return False
+    module = node.module or ""
+    if module.startswith("numpy.linalg"):
+        return True
+    ops = {"numpy": _NUMPY_OPS, "math": _MATH_OPS}.get(module)
+    return ops is not None and any(ops.fullmatch(alias.name)
+                                   for alias in node.names)
+
+
+def rounding_ops(source: str) -> list[str]:
+    """``"<line>: <source>"`` of each use of an op the rounding gate bans:
+    an ``np``/``math`` op above or ``.dot`` (the whole call when called),
+    ``@``, ``**`` with an exponent that is not an integer literal (``-2``
+    is one), and an import of any of them."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _banned_attribute(node):
+            # report the outermost expression: np.linalg.lstsq(...)
+            up = parent.get(node)
+            while (isinstance(up, ast.Attribute)
+                   or (isinstance(up, ast.Call) and up.func is node)):
+                node, up = up, parent.get(up)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            if not (isinstance(node.op, ast.MatMult)
+                    or (isinstance(node.op, ast.Pow)
+                        and not _integer_literal(
+                            node.right if isinstance(node, ast.BinOp)
+                            else node.value))):
+                continue
+        elif not _banned_import(node):
+            continue
+        found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return sorted(set(found), key=lambda f: int(f.partition(":")[0]))
+
+
+@pytest.mark.parametrize(
+    "module", [m for m in MODULES if m != NUMERICS],
+    ids=[str(m.relative_to(SRC)) for m in MODULES if m != NUMERICS])
+def test_only_numerics_rounds_by_cpu_path(module):
+    name = str(module.relative_to(SRC))
+    found = rounding_ops(module.read_text())
+    allowed = ALLOWED.get(name, set())
+    assert [f for f in found if f.partition(": ")[2] not in allowed] == []
+    # the allowance names sites that exist, and nothing else
+    assert {f.partition(": ")[2] for f in found} == allowed
+
+
+def test_rounding_scanner_sees_every_banned_op():
+    banned = [
+        "np.dot(a, b)", "a.dot(b)", "a @ b", "np.matmul(a, b)",
+        "np.einsum('i,i', a, b)", "np.inner(a, b)", "np.vdot(a, b)",
+        "np.tensordot(a, b)", "np.convolve(a, b)", "np.correlate(a, b)",
+        "np.linalg.lstsq(a, b)", "numpy.linalg.norm(a)", "np.log(a)",
+        "np.log1p(a)", "np.log10(a)", "np.logaddexp(a, b)", "np.exp(a)",
+        "np.expm1(a)", "np.power(a, b)", "np.float_power(a, b)",
+        "np.polyfit(x, y, 1)", "np.cov(a)", "math.log(x)", "math.log2(x)",
+        "math.exp(x)", "math.pow(x, y)", "x ** y", "x ** 0.5",
+        "x ** (1 / lam)", "2 ** n", "f = np.log",
+        "import numpy.linalg", "from numpy import dot",
+        "from numpy.linalg import lstsq", "from math import log",
+        "from numpy import exp as e",
+    ]
+    for snippet in banned:
+        assert rounding_ops(snippet), snippet
+    assert rounding_ops("a @= b\nx **= 0.5") == ["1: a @= b", "2: x **= 0.5"]
+    assert rounding_ops("y = np.linalg.lstsq(a, b, rcond=None)[0]") == [
+        "1: np.linalg.lstsq(a, b, rcond=None)"]
+    allowed = [
+        "x ** 2", "2.0**-53", "2.0 ** 1000", "f(**kwargs)", "{**a, 'b': 1}",
+        "def f(**kw): pass", "np.sqrt(x)", "math.sqrt(x)", "x.sum()",
+        "x.mean()", "np.logical_and(a, b)", "np.expand_dims(a, 0)",
+        "np.cumsum(a)", "a * b + c / d", "from numpy import sqrt",
+        "from numpy.lib.stride_tricks import sliding_window_view",
+        "import math", "import numpy as np", "@property\ndef f(): pass",
+    ]
+    for snippet in allowed:
+        assert rounding_ops(snippet) == [], snippet
+    assert rounding_ops(NUMERICS.read_text())

@@ -111,6 +111,36 @@ class TestDeseasonalizer:
         factors = d.indices_.at(future)
         np.testing.assert_array_equal(factors, d.indices_.indices[future % 24])
 
+    def test_critical_nan_refused_not_read_as_never_seasonal(self):
+        y = seasonal_series(48, sp=12)
+        assert Deseasonalizer().fit(y).indices_.applied is True
+        with pytest.raises(ValueError, match="critical"):
+            Deseasonalizer(critical=float("nan"))
+
+    @pytest.mark.parametrize("params, ok", [
+        ({}, True), ({"critical": 2}, True), ({"critical": 1e-9}, True),
+        ({"critical": np.float64(1.96)}, True), ({"min_cycles": 2}, True),
+        ({"critical": float("nan")}, False),
+        ({"critical": float("inf")}, False), ({"critical": 0.0}, False),
+        ({"critical": -1.645}, False), ({"critical": "x"}, False),
+        ({"critical": True}, False),
+        ({"critical": None}, False), ({"min_cycles": 1}, False),
+        ({"min_cycles": 0}, False), ({"min_cycles": 3.0}, False),
+        ({"min_cycles": True}, False), ({"min_cycles": "3"}, False),
+    ], ids=str)
+    def test_critical_and_min_cycles_checked(self, params, ok):
+        y = seasonal_series(48, sp=12)
+        if ok:
+            Deseasonalizer(**params).fit(y)
+            return
+        with pytest.raises(ValueError):
+            Deseasonalizer(**params)
+        d = Deseasonalizer(sp=12)
+        with pytest.raises(ValueError):
+            d.set_params(sp=4, **params)  # all or nothing
+        assert d.get_params() == {"sp": 12, "critical": 1.645,
+                                  "min_cycles": 3}
+
 
 class TestBoxCox:
     def test_roundtrip(self):
