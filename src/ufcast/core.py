@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import inspect
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -351,6 +352,27 @@ def _check_integer(name: str, value, minimum: int | None = None):
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_real(name: str, value, low, high, low_open: bool = False):
+    """Raise ValueError unless ``value`` is a finite real number in
+    ``[low, high]``, or ``(low, high]`` with ``low_open``; ``high`` may be
+    ``math.inf`` for no upper bound.  Bools (numpy's too), strings, NaN
+    and infinities are refused."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low < value if low_open else low <= value)
+            or not value <= high or not -math.inf < value < math.inf):
+        left = "(" if low_open else "["
+        right = ")" if high == math.inf else "]"
+        raise ValueError(f"{name} must be a real number in "
+                         f"{left}{low}, {high}{right}, got {value!r}")
+
+
+def _check_flag(name: str, value):
+    """Raise ValueError unless ``value`` is a ``bool`` or ``numpy.bool_``:
+    a string such as ``"no"`` would read as true."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 def _clone_value(value):

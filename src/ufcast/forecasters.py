@@ -20,12 +20,12 @@ powers of phi (``damped_sums``).  The smoothing recursions use only
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from . import _numerics
-from .core import BaseForecaster, TimeSeries, _check_integer
+from .core import (BaseForecaster, TimeSeries, _check_flag, _check_integer,
+                   _check_real)
 from .exceptions import OptimizerFailedError, UnsupportedInSampleError
 
 __all__ = [
@@ -112,19 +112,6 @@ class NaiveForecaster(BaseForecaster):
 # kernel once per alpha: that takes 1.1-1.3x the time of a vectorised grid
 # kernel at n 13-900, and the grid is 22-36 % of an SES fit at n 60-800,
 # so a second copy of the recursion would save at most about 8 % of one.
-
-def _check_coefficient(name, value, open_below=False):
-    """Raise ValueError unless ``value`` is None (estimated) or a real
-    number in [0, 1], or in (0, 1] with ``open_below``; bools, nan and
-    infinities are refused."""
-    if value is None:
-        return
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (0 < value <= 1 if open_below else 0 <= value <= 1)):
-        low = "(" if open_below else "["
-        raise ValueError(
-            f"{name} must be a real number in {low}0, 1], got {value!r}")
-
 
 def _ses_sse_scalar(values, alpha, l0):
     """One-step SSE of the level recursion ``level += alpha * (x - level)``
@@ -275,7 +262,8 @@ class SESForecaster(_SmoothingForecaster):
         super().__init__()
 
     def _validate(self):
-        _check_coefficient("alpha", self.alpha)
+        if self.alpha is not None:
+            _check_real("alpha", self.alpha, 0, 1)
 
     def _required_length(self, y):
         return 2 if self.alpha is None else 1
@@ -384,7 +372,7 @@ class HoltForecaster(_SmoothingForecaster):
     given ones stay fixed.  With every coefficient given nothing is
     estimated: the initial level is the first observation and the initial
     trend the mean slope.  Given ``alpha`` and ``beta`` lie in [0, 1] and
-    ``phi`` in (0, 1]; ``phi`` needs ``damped=True``.
+    ``phi`` in (0, 1]; ``phi`` needs ``damped=True``, a bool.
     """
 
     def __init__(
@@ -401,9 +389,11 @@ class HoltForecaster(_SmoothingForecaster):
         super().__init__()
 
     def _validate(self):
-        _check_coefficient("alpha", self.alpha)
-        _check_coefficient("beta", self.beta)
-        _check_coefficient("phi", self.phi, open_below=True)
+        _check_flag("damped", self.damped)
+        for name in ("alpha", "beta", "phi"):
+            value = getattr(self, name)
+            if value is not None:
+                _check_real(name, value, 0, 1, low_open=name == "phi")
         if self.phi is not None and not self.damped:
             raise ValueError("phi is only used with damped=True")
 

@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from ..evaluation import MASE_DENOMINATORS
-from ..exceptions import UfcastError, UnknownModelError
+from ..exceptions import (MalformedRowError, MissingTestSeriesError,
+                          NonFiniteInputError, UfcastError, UnknownModelError)
 from .datasets import DATASETS
 from .published import (
     compare_aggregate,
@@ -25,7 +26,7 @@ from .published import (
 )
 from .registry import KNOWN_MODELS, WINDOW_RULES
 from .reports import render_cd_svg, stats_report
-from .runner import RunManifest, _check_manifest, dumps_17g, read_results, run
+from .runner import RunManifest, dumps_17g, read_results, run
 
 _DEFAULT_MODELS = "Naive,sNaive,Naive2,SES,Holt,Damped,Com,Theta,Theta-bc"
 
@@ -87,11 +88,12 @@ def _cmd_run(args) -> int:
         mase_denominator=args.mase_denominator, window_rule=args.window_rule,
     )
     try:
-        _check_manifest(manifest)
-    except (ValueError, UnknownModelError) as exc:
+        aggregate = run(manifest)
+    except (ValueError, UnknownModelError, OSError, MalformedRowError,
+            MissingTestSeriesError, NonFiniteInputError) as exc:
+        # run()'s refusals: a bad manifest, an unreadable or bad data file
         print(exc, file=sys.stderr)
         return 2
-    aggregate = run(manifest)
     for dataset, block in aggregate["datasets"].items():
         print(f"{dataset}: {block['n_series']} series")
         for model, entry in block["models"].items():

@@ -61,7 +61,7 @@ def _read_series_csv(path) -> dict[str, list[float]]:
                 continue
             series_id = row[0].strip().strip('"')
             if not series_id:
-                raise MalformedRowError(line_no, "missing series id")
+                raise MalformedRowError(line_no, "missing series id", path)
             values = []
             stopped_at = None
             for col, cell in enumerate(row[1:], start=1):
@@ -73,17 +73,18 @@ def _read_series_csv(path) -> dict[str, list[float]]:
                     values.append(float(cell))
                 except ValueError:
                     raise MalformedRowError(
-                        line_no, f"non-numeric token {cell!r}"
+                        line_no, f"non-numeric token {cell!r}", path
                     ) from None
             # only trailing empties are tolerated after the first empty cell
             if stopped_at is not None and any(
                 c.strip() for c in row[stopped_at + 1:]
             ):
-                raise MalformedRowError(line_no, "gap inside the row")
+                raise MalformedRowError(line_no, "gap inside the row", path)
             if not values:
-                raise MalformedRowError(line_no, "row has no values")
+                raise MalformedRowError(line_no, "row has no values", path)
             if series_id in out:
-                raise MalformedRowError(line_no, f"duplicate id {series_id}")
+                raise MalformedRowError(
+                    line_no, f"duplicate id {series_id}", path)
             out[series_id] = values
     return out
 

@@ -34,7 +34,7 @@ from ..core import ForecastingHorizon, TimeSeries, _check_integer
 from ..evaluation import (
     MASE_DENOMINATORS, EvalRecord, mase, mean_ranks, owa, rank_models, smape,
 )
-from ..exceptions import FIT_ERRORS
+from ..exceptions import FIT_ERRORS, ZeroDenominatorError
 from .datasets import DATASETS, load_m4, natural_key, resolve_paths
 from .registry import build_model
 
@@ -204,9 +204,12 @@ def _aggregate_dataset(models: list, rows: list) -> dict:
         }
         shared = sorted(set(own) & set(naive2))
         if shared:
-            entry["owa"] = owa(
-                [own[i] for i in shared], [naive2[i] for i in shared]
-            )
+            try:
+                entry["owa"] = owa(
+                    [own[i] for i in shared], [naive2[i] for i in shared]
+                )
+            except ZeroDenominatorError:
+                pass  # Naive2 is perfect where this model is not: no ratio
         out_models[m] = entry
     return {"n_series": len(all_ids), "models": out_models}
 
@@ -242,7 +245,14 @@ def run(manifest: RunManifest, external_regressors: dict | None = None) -> dict:
     Before any data is read, ``jobs`` not an integer >= 1, a name listed
     twice, or an unknown dataset, MASE denominator or window rule raises
     ``ValueError``, and a model the registry cannot build (``RF``/``XGB``
-    without a factory) ``UnknownModelError``.
+    without a factory) ``UnknownModelError``.  Then a data file that cannot
+    be read raises ``OSError`` (``FileNotFoundError`` when it is missing),
+    a row that cannot be parsed ``MalformedRowError`` naming the file and
+    the line, a training id without a test series of the dataset's horizon
+    ``MissingTestSeriesError``, and a NaN or infinite value
+    ``NonFiniteInputError``.  No results file is written after a refusal.
+    A model with no OWA, because Naive2 is perfect on every series the
+    model completed and it is not, gets ``"owa": None``.
     """
     _check_manifest(manifest, external_regressors)
     started = time.perf_counter()

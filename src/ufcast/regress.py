@@ -26,34 +26,46 @@ import math
 import numpy as np
 
 from . import _numerics
-from .core import BaseEstimator, _check_integer
+from .core import BaseEstimator, _check_flag, _check_integer
 from .exceptions import DimensionMismatchError, KTooLargeError
 
 __all__ = ["LinearRegressor", "KNNRegressor"]
 
 
-def _as_matrix(X) -> np.ndarray:
+def _as_matrix(X, n_features: int | None = None) -> np.ndarray:
+    """``X`` as float rows, of ``n_features`` columns when given."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(1, -1)
+    if n_features is not None and X.shape[1] != n_features:
+        raise DimensionMismatchError(
+            f"expected {n_features} features, got {X.shape[1]}")
     return X
 
 
+def _as_table(X, y) -> tuple:
+    """``X`` as float rows and ``y`` as one float target per row."""
+    X = _as_matrix(X)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if X.shape[0] != y.size:
+        raise DimensionMismatchError(f"{X.shape[0]} rows vs {y.size} targets")
+    return X, y
+
+
 class LinearRegressor(BaseEstimator):
-    """Ordinary least squares via SVD pseudoinverse (minimum-norm solution)."""
+    """Ordinary least squares via SVD pseudoinverse (minimum-norm solution);
+    ``fit_intercept`` must be a bool."""
 
     def __init__(self, fit_intercept: bool = True):
         self.fit_intercept = fit_intercept
         super().__init__()
 
+    def _validate(self):
+        _check_flag("fit_intercept", self.fit_intercept)
+
     def fit(self, X, y) -> "LinearRegressor":
         self._reset()
-        X = _as_matrix(X)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if X.shape[0] != y.size:
-            raise DimensionMismatchError(
-                f"{X.shape[0]} rows vs {y.size} targets"
-            )
+        X, y = _as_table(X, y)
         if self.fit_intercept:
             self._x_mean = X.mean(axis=0)
             y_mean = y.mean()
@@ -69,11 +81,7 @@ class LinearRegressor(BaseEstimator):
 
     def predict(self, X) -> np.ndarray:
         self._check_fitted()
-        X = _as_matrix(X)
-        if X.shape[1] != self._n_features:
-            raise DimensionMismatchError(
-                f"expected {self._n_features} features, got {X.shape[1]}"
-            )
+        X = _as_matrix(X, self._n_features)
         return _numerics.matvec(X, self.coef_) + self.intercept_
 
 
@@ -131,12 +139,7 @@ class KNNRegressor(BaseEstimator):
 
     def fit(self, X, y) -> "KNNRegressor":
         self._reset()
-        X = _as_matrix(X)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if X.shape[0] != y.size:
-            raise DimensionMismatchError(
-                f"{X.shape[0]} rows vs {y.size} targets"
-            )
+        X, y = _as_table(X, y)
         if self.k > X.shape[0]:
             raise KTooLargeError(f"k={self.k} but only {X.shape[0]} rows")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
@@ -191,12 +194,8 @@ class KNNRegressor(BaseEstimator):
 
     def predict(self, X) -> np.ndarray:
         self._check_fitted()
-        X = _as_matrix(X)
-        table, targets, k = self._X, self._y, self.k
-        if X.shape[1] != table.shape[1]:
-            raise DimensionMismatchError(
-                f"expected {table.shape[1]} features, got {X.shape[1]}"
-            )
+        X = _as_matrix(X, self._X.shape[1])
+        targets, k = self._y, self.k
         out = np.empty(X.shape[0])
         for i, row in enumerate(X):
             rows = self._candidates(row)

@@ -66,11 +66,13 @@ class SlidingWindowSplitter:
         if isinstance(y, TimeSeries):
             return len(y)
         if np.isscalar(y):
+            _check_integer("y", y, 0)
             return int(y)
         return len(as_series(y))
 
     def split(self, y):
-        """Yield (train_positions, test_positions) pairs, 0-based in y."""
+        """Yield (train_positions, test_positions) pairs, 0-based in y (a
+        series, or its length as an integer >= 0)."""
         n = self._length(y)
         for window in self.train_windows(n):
             test = window.stop - 1 + self.fh.steps

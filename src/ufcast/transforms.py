@@ -16,13 +16,13 @@ The values whose rounding depends on the CPU path come from the kernels of
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _numerics
-from .core import BaseEstimator, TimeSeries, _check_integer, as_series
+from .core import (BaseEstimator, TimeSeries, _check_integer, _check_real,
+                   as_series)
 from .exceptions import (
     NonPositiveValuesError,
     SeriesTooShortError,
@@ -55,8 +55,12 @@ def seasonality_test(y, sp: int, critical: float = 1.645,
     Seasonal iff ``|r_sp| > critical * sqrt((1 + 2 * sum_{i<sp} r_i^2) / T)``.
     The default critical value 1.645 is the 90% two-sided normal quantile.
     Degenerate inputs (sp = 1, fewer than ``min_cycles`` full seasons, zero
-    variance) are declared non-seasonal rather than errors.
+    variance) are declared non-seasonal rather than errors.  ``sp`` must be
+    an integer >= 1, ``critical`` a finite real number > 0 and
+    ``min_cycles`` an integer >= 2, or ``ValueError`` is raised.
     """
+    _check_integer("sp", sp, 1)
+    _check_test_settings(critical, min_cycles)
     y = as_series(y, sp=sp)
     if sp <= 1 or len(y) < min_cycles * sp:
         return False
@@ -65,6 +69,13 @@ def seasonality_test(y, sp: int, critical: float = 1.645,
         return False
     limit = critical * np.sqrt((1.0 + 2.0 * np.sum(r[:-1] ** 2)) / len(y))
     return bool(abs(r[-1]) > limit)
+
+
+def _check_test_settings(critical, min_cycles):
+    """The seasonality test's settings other than ``sp``."""
+    _check_real("critical", critical, 0, math.inf, low_open=True)
+    # decomposition needs two full seasons
+    _check_integer("min_cycles", min_cycles, 2)
 
 
 @dataclass
@@ -95,8 +106,10 @@ def classical_decompose(y, sp: int) -> SeasonalIndices:
     the usual 2xsp average with half weights at the ends); per-season mean
     ratios of observation to trend are normalised to mean one.
 
-    Requires at least two full seasons and strictly positive values.
+    Requires an integer ``sp`` >= 1, at least two full seasons and strictly
+    positive values.
     """
+    _check_integer("sp", sp, 1)
     y = as_series(y, sp=sp)
     values = y.values
     if len(values) < 2 * sp:
@@ -165,14 +178,7 @@ class Deseasonalizer(BaseTransformer):
     def _validate(self):
         if self.sp is not None:
             _check_integer("sp", self.sp, 1)
-        critical = self.critical
-        if (isinstance(critical, bool)
-                or not isinstance(critical, numbers.Real)
-                or not (math.isfinite(critical) and critical > 0)):
-            raise ValueError(
-                f"critical must be a finite real number > 0, got {critical!r}")
-        # decomposition needs two full seasons
-        _check_integer("min_cycles", self.min_cycles, 2)
+        _check_test_settings(self.critical, self.min_cycles)
 
     def _fit(self, y):
         sp = self.sp if self.sp is not None else y.sp
@@ -207,14 +213,9 @@ class BoxCoxTransformer(BaseTransformer):
         super().__init__()
 
     def _validate(self):
-        for name in ("lower", "upper"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(
-                    f"{name} must be a finite real number, got {value!r}")
-        if not 0 < self.lower <= self.upper <= 1:
+        _check_real("lower", self.lower, 0, 1, low_open=True)
+        _check_real("upper", self.upper, 0, 1, low_open=True)
+        if not self.lower <= self.upper:
             raise ValueError(
                 "bounds must satisfy 0 < lower <= upper <= 1, got "
                 f"lower={self.lower!r}, upper={self.upper!r}")

@@ -166,6 +166,19 @@ class TestHolt:
         p = fixed.fit(y).get_fitted_params()
         assert (p["alpha"], p["beta"], p["phi"]) == (value, value, 1.0)
 
+    @pytest.mark.parametrize("value", ["no", "", 0, 1, None, 1.0],
+                             ids=repr)
+    def test_damped_must_be_a_bool(self, value):
+        # "no" is truthy: read as a flag, it would fit a damped model
+        with pytest.raises(ValueError, match="damped must be a bool"):
+            HoltForecaster(damped=value)
+        f = HoltForecaster(alpha=0.3)
+        with pytest.raises(ValueError, match="damped"):
+            f.set_params(alpha=0.5, damped=value)  # all or nothing
+        assert f.get_params() == {"damped": False, "alpha": 0.3,
+                                  "beta": None, "phi": None}
+        assert HoltForecaster(damped=np.bool_(True), phi=0.9).damped
+
     def test_phi_zero_rejected(self):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             HoltForecaster(damped=True, phi=0.0)

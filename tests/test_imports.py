@@ -8,7 +8,9 @@ module reads it anywhere (string annotations included) or lists it in
 ``__all__``; ``from __future__`` imports are directives, not names.  Every
 name in ``__all__`` must be an attribute of the imported module.  The
 scipy scan reads every import statement, those inside functions too, and
-the rounding scan reads every node.
+the rounding scan reads every node.  Only ``ufcast.core`` names the
+``numbers`` ABCs: every other module checks a count with ``_check_integer``
+and a real-valued setting with ``_check_real``.
 """
 
 import ast
@@ -274,3 +276,58 @@ def test_rounding_scanner_sees_every_banned_op():
     for snippet in allowed:
         assert rounding_ops(snippet) == [], snippet
     assert rounding_ops(NUMERICS.read_text())
+
+
+CORE = SRC / "ufcast" / "core.py"
+_NUMBER_ABCS = {"Real", "Integral"}
+
+
+def number_abcs(source: str) -> list[str]:
+    """``"<line>: <source>"`` of each use of ``numbers.Real`` or
+    ``numbers.Integral`` (through any alias of the module) and each import
+    of either."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "numbers"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr in _NUMBER_ABCS
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in aliases)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "numbers" and any(
+                alias.name in _NUMBER_ABCS | {"*"} for alias in node.names)
+        else:
+            continue
+        if hit:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "module", [m for m in MODULES if m != CORE],
+    ids=[str(m.relative_to(SRC)) for m in MODULES if m != CORE])
+def test_only_core_checks_number_types(module):
+    assert number_abcs(module.read_text()) == []
+
+
+def test_number_abc_scanner_sees_every_use():
+    banned = [
+        "import numbers\nisinstance(x, numbers.Real)",
+        "import numbers as n\nisinstance(x, n.Integral)",
+        "from numbers import Real", "from numbers import Integral as I",
+        "from numbers import *",
+        "import numbers\ndef f():\n    return numbers.Integral",
+    ]
+    for snippet in banned:
+        assert number_abcs(snippet), snippet
+    allowed = [
+        "import numbers\nisinstance(x, numbers.Number)",
+        "from numbers import Complex", "x.Real", "Real = 1",
+        "import numpy as np\nnp.Real",
+    ]
+    for snippet in allowed:
+        assert number_abcs(snippet) == [], snippet
+    assert number_abcs(CORE.read_text())

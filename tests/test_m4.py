@@ -105,6 +105,7 @@ class TestLoader:
             load_m4(tmp_path / "bad.csv", tmp_path / "bad.csv",
                     DATASETS["hourly"])
         assert err.value.line_no == line_no
+        assert err.value.path == tmp_path / "bad.csv"
 
     def test_missing_test_series(self, tmp_path):
         write_m4_csv(tmp_path / "t.csv", [("H1", np.arange(1.0, 61.0))])
@@ -304,6 +305,26 @@ class TestRunner:
         naive_h7 = [r for r in records if r.model == "Naive"
                     and r.series_id == "H7"]
         assert len(naive_h7) == 1
+
+    def test_perfect_naive2_leaves_owa_empty_and_keeps_the_run(self,
+                                                                tmp_path):
+        # Naive2 (the naive forecast, for yearly data) hits every test
+        # value, so SES's OWA would divide its nonzero errors by zero
+        train = [10, 12, 11, 13, 12, 14, 13, 15, 14, 16, 15, 17, 16, 20]
+        write_m4_csv(tmp_path / "Yearly-train.csv", [("Y1", train)])
+        write_m4_csv(tmp_path / "Yearly-test.csv", [("Y1", [20.0] * 6)])
+        manifest = RunManifest(
+            datasets=["yearly"], models=["Naive", "SES"],
+            train_dir=str(tmp_path), test_dir=str(tmp_path),
+            out_path=str(tmp_path / "r.jsonl"),
+        )
+        models = run(manifest)["datasets"]["yearly"]["models"]
+        assert models["SES"]["mean_smape"] > 0.0
+        assert models["SES"]["owa"] is None
+        assert models["Naive"]["owa"] == models["Naive2"]["owa"] == 1.0
+        records, errors, aggregate = read_results(tmp_path / "r.jsonl")
+        assert len(records) == 3 and not errors
+        assert aggregate["datasets"]["yearly"]["models"] == models
 
     def test_failed_run_clears_external_regressors(self, tmp_path):
         manifest = RunManifest(
@@ -1018,6 +1039,42 @@ class TestCli:
             "--out", str(tmp_path / "x.jsonl"),
         ])
         assert code == 2
+
+    def test_missing_data_file_exits_2(self, mini_m4_dir, tmp_path, capsys):
+        from ufcast.m4.cli import main
+
+        train = tmp_path / "Hourly-train.csv"
+        train.write_bytes((mini_m4_dir / "Hourly-train.csv").read_bytes())
+        code = main([
+            "run", "--dataset", "hourly", "--models", "Naive",
+            "--train-dir", str(tmp_path), "--test-dir", str(tmp_path / "no"),
+            "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert code == 2
+        assert str(tmp_path / "no" / "Hourly-test.csv") in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "x.jsonl").exists()
+
+    def test_bad_token_in_data_file_exits_2(self, mini_m4_dir, tmp_path,
+                                            capsys):
+        from ufcast.m4.cli import main
+
+        for part in ("train", "test"):
+            name = f"Hourly-{part}.csv"
+            (tmp_path / name).write_bytes((mini_m4_dir / name).read_bytes())
+        test = tmp_path / "Hourly-test.csv"
+        lines = test.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace(",", ",oops,", 1)
+        test.write_text("".join(lines))
+        code = main([
+            "run", "--dataset", "hourly", "--models", "Naive",
+            "--train-dir", str(tmp_path), "--test-dir", str(tmp_path),
+            "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert code == 2
+        assert (f"malformed row at line 4 of {test}: non-numeric token "
+                "'oops'") in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_module_entry_point(self, mini_m4_dir, tmp_path):
         # ``python -m ufcast.m4.cli`` exits with main()'s status

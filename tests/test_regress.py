@@ -88,6 +88,18 @@ class TestLinearRegressor:
         assert r.intercept_ == 0.0
         assert r.coef_[0] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None], ids=repr)
+    def test_fit_intercept_must_be_a_bool(self, value):
+        # "no" is truthy: read as a flag, it would fit an intercept
+        with pytest.raises(ValueError, match="fit_intercept must be a bool"):
+            LinearRegressor(fit_intercept=value)
+        r = LinearRegressor(fit_intercept=np.bool_(False))
+        with pytest.raises(ValueError, match="fit_intercept"):
+            r.set_params(fit_intercept=value)
+        assert r.fit_intercept is np.bool_(False)
+        r.fit(np.array([[1.0], [2.0]]), np.array([3.0, 5.0]))
+        assert r.intercept_ == 0.0
+
     def test_dimension_mismatch(self):
         r = LinearRegressor().fit(np.eye(3), np.ones(3))
         with pytest.raises(DimensionMismatchError):

@@ -86,6 +86,14 @@ class TestSplitter:
         with pytest.raises(ValueError):
             SlidingWindowSplitter(fh=1, **counts)
 
+    @pytest.mark.parametrize("n", [10.7, 10.0, True, -1, "10"], ids=repr)
+    def test_split_count_must_be_an_integer(self, n):
+        # int() would split 10.7 as 10, and True as 1
+        cv = SlidingWindowSplitter(window_length=3, fh=1)
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            list(cv.split(n))
+        assert list(cv.split(np.int64(3))) == list(cv.split(0)) == []
+
     def test_numpy_integer_counts(self):
         cv = SlidingWindowSplitter(window_length=np.int64(3), fh=1,
                                    step_length=np.int64(2))

@@ -30,6 +30,28 @@ class TestSeasonalityTest:
     def test_sp_one_never_seasonal(self):
         assert seasonality_test(seasonal_series(100, sp=12), sp=1) is False
 
+    @pytest.mark.parametrize("function", [seasonality_test,
+                                          classical_decompose])
+    @pytest.mark.parametrize("sp", [0, -3, 2.5, True], ids=repr)
+    def test_sp_checked_for_a_series_too(self, function, sp):
+        # a TimeSeries skips the constructor's check of a raw list's sp
+        with pytest.raises(ValueError, match="^sp must be an integer >= 1"):
+            function(seasonal_series(48, sp=12), sp)
+
+    @pytest.mark.parametrize("settings", [
+        {"critical": float("nan")}, {"critical": -1.0}, {"critical": "x"},
+        {"critical": True}, {"min_cycles": 0}, {"min_cycles": 2.5},
+    ], ids=str)
+    def test_settings_checked_as_the_deseasonalizer_checks_them(
+            self, settings):
+        y = seasonal_series(48, sp=12)
+        assert seasonality_test(y, 12) is True
+        [name] = settings
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            seasonality_test(y, 12, **settings)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            Deseasonalizer(**settings)
+
     def test_zero_variance_not_seasonal(self):
         assert seasonality_test(np.full(100, 3.0), sp=4) is False
 
