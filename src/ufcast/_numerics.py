@@ -22,23 +22,25 @@ whose rounding depends on the CPU path.
   which fits Box-Cox's exponent, are ports of scipy 1.17's
   ``_minimize_neldermead`` and ``_minimize_scalar_bounded`` on Python
   floats, with scipy's results bit for bit.  Callers reach them through
-  :func:`minimize` and :func:`minimize_scalar`, which hand them to
-  :func:`scipy.optimize.minimize` and :func:`scipy.optimize.minimize_scalar`
-  as ``method``, so a wrapper of those two functions sees every
-  minimisation.  The general Nelder-Mead loop skips the whole periods of a
-  simplex that repeats bit for bit: on a run that ends at ``maxiter`` or
-  ``maxfev``, the objective is called fewer times than ``nfev``, which
-  still counts every evaluation scipy makes.  So the objective must be a
-  pure function of its argument, as every caller's objective is.
+  :func:`minimize` and :func:`minimize_scalar`, which call them directly,
+  so a run never imports ``scipy.optimize`` (about 0.37 s and 49 MiB of a
+  fresh interpreter).  Only where something else has imported it, such as
+  a tracer that wraps :func:`scipy.optimize.minimize`, do the two hand the
+  ports to scipy's ``minimize`` and ``minimize_scalar`` as ``method``, so
+  that such a wrapper sees every minimisation, with the same bits.  The
+  general Nelder-Mead loop skips the whole periods of a simplex that
+  repeats bit for bit: on a run that ends at ``maxiter`` or ``maxfev``,
+  the objective is called fewer times than ``nfev``, which still counts
+  every evaluation scipy makes.  So the objective must be a pure function
+  of its argument, as every caller's objective is.
 - **Ranks.** :func:`_average_ranks` is ``scipy.stats.rankdata``'s average
   ranking without importing ``scipy.stats``, which costs about a third of a
   second and 20 MiB per interpreter.
 - **Tails.** :func:`stdtr`, :func:`chdtrc` and :func:`ndtr` are the
   ``scipy.special`` functions that ``scipy.stats`` itself calls for the t,
   chi-square and normal tails, so p-values are the same bits as there.
-  Each imports ``scipy.special`` inside the function: today
-  ``scipy.optimize`` loads it anyway, but a run path without
-  ``scipy.optimize`` would not.
+  Each imports ``scipy.special`` inside the function, so only the report
+  phase's significance tests load it (about 0.3 s and 26 MiB).
 
 Every name here is reached as ``_numerics.<name>`` from the calling
 module, so patching one attribute of this module sees every call.
@@ -48,32 +50,37 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
-# Not ``from scipy import optimize``: under CPython 3.11 that form, here,
-# made a fresh interpreter's ``import ufcast`` about 0.1 s slower, with
-# about 8,000 more page faults (2-vCPU Xeon).  The cost of scipy's import
-# depends on the frames beneath it, which the import statement shapes.
-import scipy.optimize
 
 
 # ---------------------------------------------------------------------------
 # optimisers
 # ---------------------------------------------------------------------------
 
+# Each seam runs its port through scipy only when ``scipy.optimize`` is
+# already loaded, so that a wrapper of scipy's function sees the call: scipy
+# then just forwards ``x0`` and the options, for the same bits.  This route
+# goes once the benchmark's tracer wraps the ports themselves.
+
 def minimize(fun, x0, options):
-    """Minimise ``fun`` from ``x0`` by :func:`_nelder_mead`, run through
-    :func:`scipy.optimize.minimize`."""
-    return scipy.optimize.minimize(fun, x0, method=_nelder_mead,
-                                   options=options)
+    """Minimise ``fun`` from ``x0`` by :func:`_nelder_mead`."""
+    optimize = sys.modules.get("scipy.optimize")
+    if optimize is None:
+        return _nelder_mead(fun, x0, **options)
+    return optimize.minimize(fun, x0, method=_nelder_mead, options=options)
 
 
 def minimize_scalar(fun, bounds, options):
-    """Minimise ``fun`` over ``bounds`` by :func:`_bounded_brent`, run
-    through :func:`scipy.optimize.minimize_scalar`."""
-    return scipy.optimize.minimize_scalar(
-        fun, bounds=bounds, method=_bounded_brent, options=options)
+    """Minimise ``fun`` over ``bounds`` by :func:`_bounded_brent`."""
+    optimize = sys.modules.get("scipy.optimize")
+    if optimize is None:
+        return _bounded_brent(fun, bounds, **options)
+    return optimize.minimize_scalar(fun, bounds=bounds,
+                                    method=_bounded_brent, options=options)
 
 
 class _MaxFevReached(Exception):
@@ -88,9 +95,10 @@ def _nelder_mead(fun, x0, args=(), xatol=1e-4, fatol=1e-4, maxiter=None,
     ``adaptive=False``: the same initial simplex, ``maxiter``/``maxfev``
     defaults and cap, convergence test, steps and operand order, so ``x``,
     ``fun``, ``nit``, ``nfev`` and ``status`` equal scipy's bit for bit.
-    ``fun(x, *args)`` gets a fresh list of floats and returns a float.  It
-    is passed to :func:`scipy.optimize.minimize` as ``method`` by
-    :func:`minimize`; scipy adds the keywords collected in ``unused``.
+    They come with ``success`` in a mutable record.  ``fun(x, *args)`` gets
+    a fresh list of floats and returns a float.  Passed to
+    :func:`scipy.optimize.minimize` as ``method``, it gets the keywords
+    collected in ``unused`` too.
 
     The dimension picks the loop.  Two parameters (SES and Theta) run
     :func:`_nelder_mead_2d`, which keeps the three vertices in float
@@ -127,9 +135,8 @@ def _nelder_mead(fun, x0, args=(), xatol=1e-4, fatol=1e-4, maxiter=None,
                                 maxiter, maxfev)
 
     status = 1 if nfev >= maxfev else 2 if nit >= maxiter else 0
-    return scipy.optimize.OptimizeResult(
-        x=np.array(sim[0]), fun=np.min(fsim), nit=nit, nfev=nfev,
-        status=status, success=status == 0)
+    return SimpleNamespace(x=np.array(sim[0]), fun=np.min(fsim), nit=nit,
+                           nfev=nfev, status=status, success=status == 0)
 
 
 def _nelder_mead_nd(fun, args, sim, fsim, nfev, xatol, fatol, maxiter,
@@ -399,10 +406,11 @@ def _bounded_brent(func, bounds, args=(), xatol=1e-5, maxiter=500,
     function evaluations) and operand order, with ``abs`` and conditionals
     in place of ``np.abs``, ``np.sign`` and ``np.maximum`` (nan propagates
     as there), so ``x``, ``fun``, ``nfev``, ``nit`` and ``status`` equal
-    scipy's bit for bit.  The bounds are taken as given: callers check
-    them.  It is passed to :func:`scipy.optimize.minimize_scalar` as
-    ``method`` by :func:`minimize_scalar`; scipy adds the keywords collected
-    in ``unused``.
+    scipy's bit for bit; they come with ``success`` in a mutable record
+    (scipy's ``minimize_scalar`` reassigns ``x`` and ``fun``).
+    The bounds are taken as given: callers check them.  Passed to
+    :func:`scipy.optimize.minimize_scalar` as ``method``, it gets the
+    keywords collected in ``unused`` too.
     """
     a, b = bounds
     fulc = a + _GOLDEN * (b - a)
@@ -480,8 +488,8 @@ def _bounded_brent(func, bounds, args=(), xatol=1e-5, maxiter=500,
 
     if xf != xf or fx != fx or fu != fu:
         flag = 2
-    return scipy.optimize.OptimizeResult(x=xf, fun=fx, nfev=num, nit=num,
-                                         status=flag, success=flag == 0)
+    return SimpleNamespace(x=xf, fun=fx, nfev=num, nit=num, status=flag,
+                           success=flag == 0)
 
 
 # ---------------------------------------------------------------------------

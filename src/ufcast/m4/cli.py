@@ -109,8 +109,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
+# what reading a results file may raise: the file cannot be opened, or a
+# line is not a JSON object in UTF-8
+_UNREADABLE = (OSError, MalformedRowError)
+
+
 def _cmd_compare(args) -> int:
-    _, _, aggregate = read_results(args.results)
+    try:
+        _, _, aggregate = read_results(args.results)
+    except _UNREADABLE as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if aggregate is None:
         print("results file has no aggregate block", file=sys.stderr)
         return 2
@@ -129,7 +138,11 @@ def _cmd_stats(args) -> int:
     if args.svg and args.test != "nemenyi":
         print("--svg is only meaningful with --test nemenyi", file=sys.stderr)
         return 2
-    records, _, _ = read_results(args.results)
+    try:
+        records, _, _ = read_results(args.results)
+    except _UNREADABLE as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if not records:
         print("results file has no records", file=sys.stderr)
         return 2
@@ -137,7 +150,8 @@ def _cmd_stats(args) -> int:
         report = stats_report(records, test=args.test, metric=args.metric,
                               alpha=args.alpha)
     except (UfcastError, ValueError) as exc:
-        # ValueError: Nemenyi's critical values stop at 30 models
+        # ValueError: an alpha outside (0, 1], or Nemenyi's critical values
+        # stop at 30 models
         print(exc, file=sys.stderr)
         return 2
     Path(args.out).write_text(dumps_17g(report) + "\n", encoding="utf-8")

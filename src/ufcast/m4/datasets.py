@@ -9,6 +9,7 @@ seasonal periodicity and forecasting horizon.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,11 +71,17 @@ def _read_series_csv(path) -> dict[str, list[float]]:
                     stopped_at = col
                     break
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise MalformedRowError(
                         line_no, f"non-numeric token {cell!r}", path
                     ) from None
+                if not math.isfinite(value):  # "nan", "inf", "-Infinity"
+                    raise MalformedRowError(
+                        line_no,
+                        f"non-finite value {cell!r} in series {series_id}",
+                        path)
+                values.append(value)
             # only trailing empties are tolerated after the first empty cell
             if stopped_at is not None and any(
                 c.strip() for c in row[stopped_at + 1:]
@@ -94,7 +101,7 @@ def load_m4(train_path, test_path, spec: DatasetSpec):
 
     Training series are anchored at position 0; test series continue at
     position ``len(train)``.  Every training id must have a test series of
-    exactly ``spec.horizon`` values.
+    exactly ``spec.horizon`` values, and every value must be finite.
     """
     trains = _read_series_csv(train_path)
     tests = _read_series_csv(test_path)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 
+from ..core import _check_real
 from ..evaluation import (
     critical_difference_report,
     friedman_test,
@@ -72,8 +73,10 @@ def stats_report(records, test: str, metric: str = "smape",
 
     ``test`` is one of ``friedman``, ``nemenyi``, ``wilcoxon_holm``,
     ``ttest``.  Rank-based procedures raise IncompleteGridError unless
-    every model scored every series.
+    every model scored every series.  ``alpha`` must be a real number in
+    (0, 1].
     """
+    _check_real("alpha", alpha, 0, 1, low_open=True)
     report = {"test": test, "metric": metric, "alpha": alpha, "datasets": {}}
     for dataset, group in _by_dataset(records).items():
         if test == "friedman":

@@ -34,7 +34,8 @@ from ..core import ForecastingHorizon, TimeSeries, _check_integer
 from ..evaluation import (
     MASE_DENOMINATORS, EvalRecord, mase, mean_ranks, owa, rank_models, smape,
 )
-from ..exceptions import FIT_ERRORS, ZeroDenominatorError
+from ..exceptions import (FIT_ERRORS, MalformedRowError,
+                          ZeroDenominatorError)
 from .datasets import DATASETS, load_m4, natural_key, resolve_paths
 from .registry import build_model
 
@@ -303,14 +304,23 @@ def run(manifest: RunManifest, external_regressors: dict | None = None) -> dict:
 
 
 def read_results(path):
-    """Parse a results file into (records, errors, aggregate)."""
+    """Parse a results file into (records, errors, aggregate).
+
+    A line that is not a JSON object in UTF-8 raises
+    :class:`~ufcast.exceptions.MalformedRowError` naming the file and line.
+    """
     records, errors, aggregate = [], [], None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line.decode("utf-8"))
+            except ValueError:  # UnicodeDecodeError is one too
+                obj = None
+            if not isinstance(obj, dict):
+                raise MalformedRowError(
+                    line_no, "not a JSON object in UTF-8", path)
             kind = obj.get("type")
             if kind == "record":
                 records.append(_record(obj))

@@ -14,15 +14,22 @@ removed:
   detrender).
 
 Any change that moves a forecast, a score or an aggregate by one bit fails
-here.  Regenerate only when an output change is intended (and explain it
-in the change log), from the repository root::
+here.  The optimisers reach their ports through scipy when
+``scipy.optimize`` is loaded, as it is in this process, and directly when
+it is not, as in a run from the command line; so the three files are also
+produced in a fresh interpreter that must never import it.  Regenerate
+only when an output change is intended (and explain it in the change
+log), from the repository root::
 
     PYTHONPATH=src python -m tests.test_golden [golden file name ...]
 
 With no names every golden file is rewritten.
 """
 
+import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -104,6 +111,34 @@ def test_reduction_run_matches_golden_bytes(tmp_path, jobs):
 def test_tuned_run_matches_golden_bytes(tmp_path, jobs):
     expected = _golden_path("golden_tuned.jsonl").read_text(encoding="utf-8")
     assert golden_output(tmp_path, "golden_tuned.jsonl", jobs) == expected
+
+
+_FRESH = """
+import json, sys, tempfile
+from pathlib import Path
+from tests.test_golden import _GOLDENS, golden_output
+out = {}
+for name in _GOLDENS:
+    with tempfile.TemporaryDirectory() as tmp:
+        out[name] = golden_output(Path(tmp), name)
+print(json.dumps({"outputs": out,
+                  "scipy.optimize": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_goldens_match_without_scipy_optimize(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", _FRESH], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["scipy.optimize"] is False
+    assert sorted(child["outputs"]) == sorted(_GOLDENS)
+    for name, text in child["outputs"].items():
+        assert text == _golden_path(name).read_text(encoding="utf-8"), name
 
 
 if __name__ == "__main__":

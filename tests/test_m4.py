@@ -88,6 +88,20 @@ class TestLoader:
                     DATASETS["hourly"])
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("part", ["train", "test"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, token, part):
+        # refused where it is read, with the file, line and series named
+        good = '"V1","V2","V3"\n"H1",1.5,2.5\n"H2",3.5,4.5\n'
+        paths = {p: tmp_path / f"{p}.csv" for p in ("train", "test")}
+        for p, path in paths.items():
+            path.write_text(good.replace("4.5", token) if p == part else good)
+        with pytest.raises(MalformedRowError) as err:
+            load_m4(paths["train"], paths["test"], DATASETS["hourly"])
+        assert err.value.line_no == 3 and err.value.path == paths[part]
+        assert str(err.value).endswith(
+            f"non-finite value '{token}' in series H2")
+
     def test_gap_inside_row(self, tmp_path):
         (tmp_path / "bad.csv").write_text('"V1","V2"\n"H1",1.5,,2.5\n')
         with pytest.raises(MalformedRowError):
@@ -805,6 +819,13 @@ class TestStatsReports:
         pairs = rep["datasets"]["hourly"]["pairs"]
         assert all(p.get("zero_variance") for p in pairs)  # constant gaps
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0,
+                                       -0.05, 1.5, "0.05", True])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be a real number "
+                                             r"in \(0, 1\]"):
+            stats_report(self._fixture_records(), "friedman", "smape", alpha)
+
     def test_incomplete_grid_rejected(self):
         from ufcast.evaluation import EvalRecord
         from ufcast.exceptions import IncompleteGridError
@@ -931,6 +952,57 @@ class TestCli:
         assert code == 2
         captured = capsys.readouterr()
         assert message in captured.err and "wrote" not in captured.out
+        assert not (tmp_path / "stats.json").exists()
+
+    @staticmethod
+    def _bad_results(mini_run, root, kind):
+        """A results file (or a path that is none) of ``kind``, and the
+        text its refusal prints; a bad line is line 3, after two good
+        ones."""
+        _, out, _ = mini_run
+        good = "".join(out.read_text().splitlines(keepends=True)[:2])
+        path = root / "bad.jsonl"
+        if kind == "missing":
+            return path, f"No such file or directory: '{path}'"
+        if kind == "directory":
+            path.mkdir()
+            return path, f"Is a directory: '{path}'"
+        bad = {"cut": good.splitlines()[0][:40].encode(),
+               "not-an-object": b"[1,2]",
+               "not-utf8": b'{"type": "error", "model": "\xff"}'}[kind]
+        path.write_bytes(good.encode() + bad + b"\n")
+        return path, (f"malformed row at line 3 of {path}: "
+                      "not a JSON object in UTF-8")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "cut",
+                                      "not-an-object", "not-utf8"])
+    def test_unreadable_results_exit_2(self, mini_run, tmp_path, capsys,
+                                       kind):
+        from ufcast.m4.cli import main
+
+        results, message = self._bad_results(mini_run, tmp_path, kind)
+        if kind not in ("missing", "directory"):
+            with pytest.raises(MalformedRowError) as err:
+                read_results(results)
+            assert err.value.line_no == 3 and err.value.path == results
+        for argv in (["stats", "--test", "friedman"], ["compare"]):
+            out = tmp_path / "out.txt"
+            code = main([*argv, "--results", str(results), "--out", str(out)])
+            assert code == 2, argv
+            captured = capsys.readouterr()
+            assert message in captured.err and not captured.out, argv
+            assert not out.exists()
+
+    def test_stats_nan_alpha_exits_2(self, mini_run, tmp_path, capsys):
+        from ufcast.m4.cli import main
+
+        _, out, _ = mini_run
+        code = main(["stats", "--results", str(out), "--test", "friedman",
+                     "--alpha", "nan", "--out", str(tmp_path / "stats.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "alpha must be a real number in (0, 1]" in captured.err
+        assert not captured.out
         assert not (tmp_path / "stats.json").exists()
 
     def test_compare_missing_reference_exits_2(self, mini_run, tmp_path,

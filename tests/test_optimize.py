@@ -1,18 +1,20 @@
 """The in-package optimisers against scipy's: the smoothing models'
 Nelder-Mead (its two-parameter loop and its general one) and Box-Cox's
-bounded Brent search; the argument types the SSE kernels receive, and the
+bounded Brent search; the argument types the SSE kernels receive, the
 minimisations an outside wrapper of ``scipy.optimize.minimize`` can
-observe.
+observe, and the same results from the seams of ``ufcast._numerics``
+whether or not ``scipy.optimize`` is loaded.
 """
 
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from ufcast import forecasters
+from ufcast import _numerics, forecasters
 from ufcast._numerics import _bounded_brent, _Cycles, _nelder_mead
 from ufcast.forecasters import HoltForecaster, SESForecaster, ThetaForecaster
 from tests.conftest import seasonal_series
@@ -225,6 +227,34 @@ def test_brent_port_matches_scipy_bit_for_bit(problem):
                                                 options=options)
     assert _scalar_summary(ours) == _scalar_summary(theirs)
     assert ours.success == theirs.success
+
+
+def _without_scipy_optimize(seam, *args):
+    """``seam(*args)`` with ``scipy.optimize`` hidden from ``sys.modules``,
+    so the seam calls its port directly."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delitem(sys.modules, "scipy.optimize")
+        return seam(*args)
+
+
+@settings(max_examples=100)
+@given(problem=_problems(), options=_OPTIONS,
+       scalar_problem=_scalar_problems())
+def test_seams_give_the_same_bits_with_and_without_scipy_optimize(
+        problem, options, scalar_problem):
+    x0, centre, box, step = problem
+    fun = _boxed_objective(centre, box, step)
+    direct = _without_scipy_optimize(_numerics.minimize, fun, x0, options)
+    through = _numerics.minimize(fun, x0, options)
+    assert _summary(direct) == _summary(through)
+    assert direct.success is through.success
+
+    bounds, fun, options = scalar_problem
+    direct = _without_scipy_optimize(_numerics.minimize_scalar, fun, bounds,
+                                     options)
+    through = _numerics.minimize_scalar(fun, bounds, options)
+    assert _scalar_summary(direct) == _scalar_summary(through)
+    assert direct.success is through.success
 
 
 def test_port_passes_args_and_fresh_lists():

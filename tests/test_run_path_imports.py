@@ -1,4 +1,5 @@
-"""Neither the run path nor the report phase loads ``scipy.stats``.
+"""Neither the run path nor the report phase loads ``scipy.stats`` or
+``scipy.optimize``, and importing the CLI loads no scipy module at all.
 
 A fresh interpreter imports ``ufcast`` and ``ufcast.m4.cli`` and runs
 ``run()`` on a tiny yearly panel at ``jobs=1``, so that every model is fit
@@ -9,8 +10,11 @@ Wilcoxon normal approximation above n = 25, ``compare_aggregate`` against
 the published table, and ``ufcast-m4 stats`` with a CD diagram.  No module
 in ``BANNED`` (or below it) may be loaded by then: ``scipy.stats`` costs
 about a third of a second and 20 MiB of every interpreter that imports it,
-and the significance tests take their tails from ``scipy.special``.  The
-child's p-values must equal those of this process.
+``scipy.optimize`` about 0.37 s and 49 MiB, and the significance tests
+take their tails from ``scipy.special``.  The child's p-values must equal
+those of this process.  A second fresh interpreter only imports
+``ufcast.m4.cli``: the tails import ``scipy.special`` when first called,
+so no scipy module may be loaded after the import.
 """
 
 import json
@@ -26,7 +30,7 @@ from ufcast.m4.reports import stats_report
 from ufcast.m4.runner import read_results
 from tests.conftest import seasonal_series, write_m4_csv
 
-BANNED = ("scipy.stats",)
+BANNED = ("scipy.stats", "scipy.optimize")
 
 _SCRIPT = """
 import contextlib
@@ -71,6 +75,18 @@ print(json.dumps({"loaded": loaded, "reports": reports,
 """
 
 
+def _run_child(args, cwd) -> str:
+    """Standard output of ``python -c *args`` run in ``cwd``, in a fresh
+    interpreter that imports ``ufcast`` from this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def _p_values(report):
     block = report["datasets"]["yearly"]
     if "pairs" in block:
@@ -89,15 +105,8 @@ def test_run_loads_no_report_module(tmp_path):
     write_m4_csv(tmp_path / "Yearly-test.csv", test)
     out = tmp_path / "results.jsonl"
 
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = [str(src), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, str(tmp_path), str(out),
-         json.dumps(BANNED)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    child = json.loads(proc.stdout)
+    child = json.loads(_run_child(
+        [_SCRIPT, str(tmp_path), str(out), json.dumps(BANNED)], tmp_path))
 
     assert child["loaded"] == []
     records, _, _ = read_results(out)
@@ -112,3 +121,11 @@ def test_run_loads_no_report_module(tmp_path):
     assert child["compared"] > 0
     assert child["cli_code"] == 0
     assert (tmp_path / "stats.json").exists() and (tmp_path / "cd.svg").exists()
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    loaded = json.loads(_run_child([
+        "import json, sys, ufcast.m4.cli; print(json.dumps(sorted("
+        "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
+    ], tmp_path))
+    assert loaded == []
