@@ -3,9 +3,13 @@
 ``run`` evaluates registry models over M4-format CSVs and writes
 JSON-lines results; ``compare`` reports percentage differences against
 published values; ``stats`` runs significance tests over per-series
-results and can render a critical-difference diagram as SVG.  A command
-that refuses its input prints why to stderr, writes no output file and
-exits with status 2.
+results and can render a critical-difference diagram as SVG.  Every
+command ends in exit status 0 or 2.  A command that refuses its input
+prints why to stderr, leaves no output file and exits with status 2:
+:func:`main` is the one place that turns a refusal into that status.
+Output files are written only when the command succeeds, all of them
+(:func:`~ufcast.m4.runner.open_outputs`), and ``run`` checks that ``--out``
+can be written before it reads any data.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ import sys
 from pathlib import Path
 
 from ..evaluation import MASE_DENOMINATORS
-from ..exceptions import (MalformedRowError, MissingTestSeriesError,
-                          NonFiniteInputError, UfcastError, UnknownModelError)
+from ..exceptions import UfcastError
 from .datasets import DATASETS
 from .published import (
     compare_aggregate,
@@ -26,7 +29,7 @@ from .published import (
 )
 from .registry import KNOWN_MODELS, WINDOW_RULES
 from .reports import render_cd_svg, stats_report
-from .runner import RunManifest, dumps_17g, read_results, run
+from .runner import RunManifest, dumps_17g, open_outputs, read_results, run
 
 _DEFAULT_MODELS = "Naive,sNaive,Naive2,SES,Holt,Damped,Com,Theta,Theta-bc"
 
@@ -58,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="MASE scaling convention (default as_formula)")
     p_run.add_argument("--window-rule", default="max", choices=WINDOW_RULES,
                        help="untuned reduction window: max(sp,3) or min(sp,3)")
+    p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare",
                            help="percentage differences vs published values")
@@ -65,6 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--published", default=None,
                        help="published-values CSV (default: vendored table)")
     p_cmp.add_argument("--out", required=True, help="comparison CSV output")
+    p_cmp.set_defaults(func=_cmd_compare)
 
     p_st = sub.add_parser("stats", help="significance tests over results")
     p_st.add_argument("--results", required=True, help="run output file")
@@ -76,24 +81,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_st.add_argument("--svg", default=None,
                       help="critical-difference SVG output (nemenyi only; "
                            "with several datasets, one file per dataset)")
+    p_st.set_defaults(func=_cmd_stats)
     return parser
 
 
 def _cmd_run(args) -> int:
     datasets = list(DATASETS) if args.dataset == "all" else [args.dataset]
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    manifest = RunManifest(
+    aggregate = run(RunManifest(
         datasets=datasets, models=models, train_dir=args.train_dir,
         test_dir=args.test_dir, out_path=args.out, jobs=args.jobs,
         mase_denominator=args.mase_denominator, window_rule=args.window_rule,
-    )
-    try:
-        aggregate = run(manifest)
-    except (ValueError, UnknownModelError, OSError, MalformedRowError,
-            MissingTestSeriesError, NonFiniteInputError) as exc:
-        # run()'s refusals: a bad manifest, an unreadable or bad data file
-        print(exc, file=sys.stderr)
-        return 2
+    ))
     for dataset, block in aggregate["datasets"].items():
         print(f"{dataset}: {block['n_series']} series")
         for model, entry in block["models"].items():
@@ -109,26 +108,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
-# what reading a results file may raise: the file cannot be opened, or a
-# line is not a JSON object in UTF-8
-_UNREADABLE = (OSError, MalformedRowError)
-
-
 def _cmd_compare(args) -> int:
-    try:
-        _, _, aggregate = read_results(args.results)
-    except _UNREADABLE as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    _, _, aggregate = read_results(args.results)
     if aggregate is None:
-        print("results file has no aggregate block", file=sys.stderr)
-        return 2
-    try:
-        rows = compare_aggregate(aggregate, load_published(args.published))
-    except UfcastError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    Path(args.out).write_text(comparison_csv(rows), encoding="utf-8")
+        raise ValueError("results file has no aggregate block")
+    rows = compare_aggregate(aggregate, load_published(args.published))
+    with open_outputs([args.out]) as (out,):
+        out.write(comparison_csv(rows))
     print(comparison_text(rows))
     print(f"wrote {len(rows)} comparison cells -> {args.out}")
     return 0
@@ -136,50 +122,37 @@ def _cmd_compare(args) -> int:
 
 def _cmd_stats(args) -> int:
     if args.svg and args.test != "nemenyi":
-        print("--svg is only meaningful with --test nemenyi", file=sys.stderr)
-        return 2
-    try:
-        records, _, _ = read_results(args.results)
-    except _UNREADABLE as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        raise ValueError("--svg is only meaningful with --test nemenyi")
+    records, _, _ = read_results(args.results)
     if not records:
-        print("results file has no records", file=sys.stderr)
-        return 2
-    try:
-        report = stats_report(records, test=args.test, metric=args.metric,
-                              alpha=args.alpha)
-    except (UfcastError, ValueError) as exc:
-        # ValueError: an alpha outside (0, 1], or Nemenyi's critical values
-        # stop at 30 models
-        print(exc, file=sys.stderr)
-        return 2
-    Path(args.out).write_text(dumps_17g(report) + "\n", encoding="utf-8")
-    print(f"wrote {args.test} report -> {args.out}")
-    if args.svg:
-        datasets = list(report["datasets"])
-        for dataset in datasets:
+        raise ValueError("results file has no records")
+    report = stats_report(records, test=args.test, metric=args.metric,
+                          alpha=args.alpha)
+    datasets = list(report["datasets"]) if args.svg else []
+    svg = Path(args.svg or "")
+    svgs = [svg if len(datasets) == 1
+            else svg.with_name(f"{svg.stem}_{dataset}{svg.suffix}")
+            for dataset in datasets]
+    with open_outputs([args.out, *svgs]) as (out, *svg_files):
+        out.write(dumps_17g(report) + "\n")
+        for dataset, fh in zip(datasets, svg_files):
             cd = report["datasets"][dataset]["critical_difference"]
-            if len(datasets) == 1:
-                path = Path(args.svg)
-            else:
-                base = Path(args.svg)
-                path = base.with_name(f"{base.stem}_{dataset}{base.suffix}")
-            title = f"{dataset} ({args.metric})"
-            path.write_text(render_cd_svg(cd, title=title), encoding="utf-8")
-            print(f"wrote CD diagram -> {path}")
+            fh.write(render_cd_svg(cd, title=f"{dataset} ({args.metric})"))
+    print(f"wrote {args.test} report -> {args.out}")
+    for path in svgs:
+        print(f"wrote CD diagram -> {path}")
     return 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    return 2
+    try:
+        return args.func(args)
+    except (UfcastError, ValueError, OSError) as exc:
+        # every refusal: bad arguments, unreadable or malformed input, an
+        # output that cannot be written
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -55,44 +55,50 @@ def _read_series_csv(path) -> dict[str, list[float]]:
     out: dict[str, list[float]] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if line_no == 1:  # header
-                continue
-            if not row or all(not c.strip() for c in row):
-                continue
-            series_id = row[0].strip().strip('"')
-            if not series_id:
-                raise MalformedRowError(line_no, "missing series id", path)
-            values = []
-            stopped_at = None
-            for col, cell in enumerate(row[1:], start=1):
-                cell = cell.strip()
-                if cell == "":
-                    stopped_at = col
-                    break
-                try:
-                    value = float(cell)
-                except ValueError:
+        try:
+            for line_no, row in enumerate(reader, start=1):
+                if line_no == 1:  # header
+                    continue
+                if not row or all(not c.strip() for c in row):
+                    continue
+                series_id = row[0].strip().strip('"')
+                if not series_id:
+                    raise MalformedRowError(line_no, "missing series id", path)
+                values = []
+                stopped_at = None
+                for col, cell in enumerate(row[1:], start=1):
+                    cell = cell.strip()
+                    if cell == "":
+                        stopped_at = col
+                        break
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise MalformedRowError(
+                            line_no, f"non-numeric token {cell!r}", path
+                        ) from None
+                    if not math.isfinite(value):  # "nan", "inf", "-Infinity"
+                        raise MalformedRowError(
+                            line_no, f"non-finite value {cell!r} in series "
+                            f"{series_id}", path)
+                    values.append(value)
+                # only trailing empties may follow the first empty cell
+                if stopped_at is not None and any(
+                    c.strip() for c in row[stopped_at + 1:]
+                ):
                     raise MalformedRowError(
-                        line_no, f"non-numeric token {cell!r}", path
-                    ) from None
-                if not math.isfinite(value):  # "nan", "inf", "-Infinity"
+                        line_no, "gap inside the row", path)
+                if not values:
+                    raise MalformedRowError(line_no, "row has no values", path)
+                if series_id in out:
                     raise MalformedRowError(
-                        line_no,
-                        f"non-finite value {cell!r} in series {series_id}",
-                        path)
-                values.append(value)
-            # only trailing empties are tolerated after the first empty cell
-            if stopped_at is not None and any(
-                c.strip() for c in row[stopped_at + 1:]
-            ):
-                raise MalformedRowError(line_no, "gap inside the row", path)
-            if not values:
-                raise MalformedRowError(line_no, "row has no values", path)
-            if series_id in out:
-                raise MalformedRowError(
-                    line_no, f"duplicate id {series_id}", path)
-            out[series_id] = values
+                        line_no, f"duplicate id {series_id}", path)
+                out[series_id] = values
+        except csv.Error as exc:  # a quoted field past the size limit
+            raise MalformedRowError(reader.line_num, str(exc), path) from None
+    if not out:
+        raise MalformedRowError(
+            reader.line_num + 1, "no series after the header", path)
     return out
 
 
@@ -101,7 +107,8 @@ def load_m4(train_path, test_path, spec: DatasetSpec):
 
     Training series are anchored at position 0; test series continue at
     position ``len(train)``.  Every training id must have a test series of
-    exactly ``spec.horizon`` values, and every value must be finite.
+    exactly ``spec.horizon`` values, every value must be finite, and a
+    file with no series after its header is refused.
     """
     trains = _read_series_csv(train_path)
     tests = _read_series_csv(test_path)

@@ -23,7 +23,12 @@ job count.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import errno
+import io
 import json
+import os
+import sys
 import time
 from dataclasses import dataclass
 
@@ -39,7 +44,7 @@ from ..exceptions import (FIT_ERRORS, MalformedRowError,
 from .datasets import DATASETS, load_m4, natural_key, resolve_paths
 from .registry import build_model
 
-__all__ = ["RunManifest", "run", "read_results", "dumps_17g"]
+__all__ = ["RunManifest", "run", "read_results", "dumps_17g", "open_outputs"]
 
 
 @dataclass
@@ -88,6 +93,59 @@ def dumps_17g(obj) -> str:
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(dumps_17g(v) for v in obj) + "]"
     raise TypeError(f"cannot serialise {type(obj).__name__}")
+
+
+@contextlib.contextmanager
+def open_outputs(paths):
+    """Text files for ``paths`` whose contents all arrive, or none does.
+
+    Yields one file open for writing per path.  A path that does not exist
+    yet gets a temporary file beside it (beside the file a symlink names),
+    moved into place with ``os.replace`` when the block ends without an
+    error; it gets the mode ``open(path, "w")`` would give it.  An existing
+    path (a file, a link to one, a device such as ``/dev/null``) is staged
+    in memory and written through ``open(path, "w")`` at the end, so it
+    keeps its mode, owner and links.  A path in a missing directory,
+    naming a directory, or naming a file that cannot be written raises
+    ``OSError`` on entry.  An error in the block writes nothing and removes
+    every temporary file.  A failure while the files are put in place (a
+    full disk, a directory removed meanwhile) can leave the ones already
+    placed.
+    """
+    staged = []  # (target, temporary path or None, file)
+    try:
+        for path in map(os.fspath, paths):
+            target = os.path.realpath(path)
+            if path.endswith(os.sep) or os.path.isdir(target):
+                raise IsADirectoryError(
+                    errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if os.path.exists(target):
+                if not os.access(target, os.W_OK):
+                    raise PermissionError(
+                        errno.EACCES, os.strerror(errno.EACCES), path)
+                staged.append((target, None, io.StringIO()))
+                continue
+            head, name = os.path.split(target)
+            tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+            try:
+                staged.append((target, tmp, open(tmp, "x", encoding="utf-8")))
+            except OSError as exc:  # name the output, not the temporary file
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+        yield [fh for _, _, fh in staged]
+        for target, tmp, fh in staged:
+            if tmp is None:
+                with open(target, "w", encoding="utf-8") as out:
+                    out.write(fh.getvalue())
+            else:
+                fh.close()
+                os.replace(tmp, target)
+    except BaseException:
+        for _, tmp, fh in staged:
+            fh.close()
+            if tmp is not None:
+                with contextlib.suppress(FileNotFoundError):  # already placed
+                    os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -246,56 +304,59 @@ def run(manifest: RunManifest, external_regressors: dict | None = None) -> dict:
     Before any data is read, ``jobs`` not an integer >= 1, a name listed
     twice, or an unknown dataset, MASE denominator or window rule raises
     ``ValueError``, and a model the registry cannot build (``RF``/``XGB``
-    without a factory) ``UnknownModelError``.  Then a data file that cannot
-    be read raises ``OSError`` (``FileNotFoundError`` when it is missing),
-    a row that cannot be parsed ``MalformedRowError`` naming the file and
-    the line, a training id without a test series of the dataset's horizon
-    ``MissingTestSeriesError``, and a NaN or infinite value
-    ``NonFiniteInputError``.  No results file is written after a refusal.
+    without a factory) ``UnknownModelError``, and an ``out_path`` in a
+    missing directory or naming a directory ``OSError``.  Then a data file
+    that cannot be read raises ``OSError`` (``FileNotFoundError`` when it
+    is missing); a row that cannot be parsed, a NaN or infinite value, or a
+    file with no series after its header ``MalformedRowError`` naming the
+    file and the line; and a training id without a test series of the
+    dataset's horizon ``MissingTestSeriesError``.  The results file
+    appears only when the run completes (see :func:`open_outputs`), so a
+    refusal leaves none.
     A model with no OWA, because Naive2 is perfect on every series the
     model completed and it is not, gets ``"owa": None``.
     """
     _check_manifest(manifest, external_regressors)
-    started = time.perf_counter()
-    models = list(manifest.models)
-    if "Naive2" not in models:
-        models.append("Naive2")  # OWA reference is always evaluated
+    with open_outputs([manifest.out_path]) as (fh,):
+        started = time.perf_counter()
+        models = list(manifest.models)
+        if "Naive2" not in models:
+            models.append("Naive2")  # OWA reference is always evaluated
 
-    per_dataset_rows = {}
-    for dataset in manifest.datasets:
-        spec = DATASETS[dataset]
-        train_path, test_path = resolve_paths(
-            manifest.train_dir, manifest.test_dir, spec
-        )
-        data = load_m4(train_path, test_path, spec)
-        tasks = [
-            (dataset, spec.sp, spec.horizon, models, sid,
-             train.values.tolist(), test.values.tolist(),
-             manifest.mase_denominator, manifest.window_rule)
-            for sid, train, test in data
-        ]
-        rows = [row for task_rows in
-                _run_tasks(tasks, manifest.jobs, external_regressors)
-                for row in task_rows]
-        rows.sort(key=lambda r: (r["model"], natural_key(r["series_id"])))
-        per_dataset_rows[dataset] = rows
+        per_dataset_rows = {}
+        for dataset in manifest.datasets:
+            spec = DATASETS[dataset]
+            train_path, test_path = resolve_paths(
+                manifest.train_dir, manifest.test_dir, spec
+            )
+            data = load_m4(train_path, test_path, spec)
+            tasks = [
+                (dataset, spec.sp, spec.horizon, models, sid,
+                 train.values.tolist(), test.values.tolist(),
+                 manifest.mase_denominator, manifest.window_rule)
+                for sid, train, test in data
+            ]
+            rows = [row for task_rows in
+                    _run_tasks(tasks, manifest.jobs, external_regressors)
+                    for row in task_rows]
+            rows.sort(key=lambda r: (r["model"], natural_key(r["series_id"])))
+            per_dataset_rows[dataset] = rows
 
-    aggregate = {
-        "type": "aggregate",
-        "manifest": {
-            "datasets": list(manifest.datasets),
-            "models": models,
-            "mase_denominator": manifest.mase_denominator,
-            "window_rule": manifest.window_rule,
-        },
-        "datasets": {
-            dataset: _aggregate_dataset(models, rows)
-            for dataset, rows in per_dataset_rows.items()
-        },
-        "total_runtime_s": time.perf_counter() - started,
-    }
+        aggregate = {
+            "type": "aggregate",
+            "manifest": {
+                "datasets": list(manifest.datasets),
+                "models": models,
+                "mase_denominator": manifest.mase_denominator,
+                "window_rule": manifest.window_rule,
+            },
+            "datasets": {
+                dataset: _aggregate_dataset(models, rows)
+                for dataset, rows in per_dataset_rows.items()
+            },
+            "total_runtime_s": time.perf_counter() - started,
+        }
 
-    with open(manifest.out_path, "w", encoding="utf-8") as fh:
         for dataset in manifest.datasets:
             for row in per_dataset_rows[dataset]:
                 fh.write(dumps_17g(row) + "\n")
@@ -303,11 +364,56 @@ def run(manifest: RunManifest, external_regressors: dict | None = None) -> dict:
     return aggregate
 
 
+def _objects(value) -> bool:
+    """Whether ``value`` is a JSON object whose values are all objects."""
+    return (isinstance(value, dict)
+            and all(isinstance(v, dict) for v in value.values()))
+
+
+def _number(value) -> bool:
+    """Whether a JSON value is a float (NaN and infinities too) or an int a
+    float can hold; a bool is neither."""
+    return type(value) is float or (type(value) is int
+                                    and abs(value) <= sys.float_info.max)
+
+
+def _row_problem(row: dict):
+    """Why a results-file row cannot be read, or ``None`` when it can."""
+    kind = row.get("type")
+    if kind == "record":
+        for key in ("series_id", "model", "dataset"):
+            if type(row.get(key)) is not str:
+                return f"record field {key!r} is not a string"
+        for key in ("smape", "mase", "runtime_s"):
+            if not _number(row.get(key)):
+                return f"record field {key!r} is not a number in float range"
+    elif kind == "aggregate":
+        datasets = row.get("datasets")
+        if not _objects(datasets):
+            return "aggregate 'datasets' is not an object of objects"
+        for name, block in datasets.items():
+            if not _objects(block.get("models")):
+                return (f"aggregate 'models' of dataset {name!r} is not an "
+                        "object of objects")
+            for model, entry in block["models"].items():
+                for key in ("mean_smape", "mean_mase", "owa"):
+                    if entry.get(key) is not None and not _number(entry[key]):
+                        return (f"aggregate {key!r} of {model!r} in dataset "
+                                f"{name!r} is not a number or null")
+    return None
+
+
 def read_results(path):
     """Parse a results file into (records, errors, aggregate).
 
-    A line that is not a JSON object in UTF-8 raises
-    :class:`~ufcast.exceptions.MalformedRowError` naming the file and line.
+    A line that is not a JSON object in UTF-8, a record whose
+    ``series_id``, ``model`` or ``dataset`` is not a string or whose
+    ``smape``, ``mase`` or ``runtime_s`` is not a number in float range
+    (NaN is one), and an aggregate whose ``datasets``, or a dataset's
+    ``models``, is not an object of objects, or whose model entries hold a
+    ``mean_smape``, ``mean_mase`` or ``owa`` that is neither such a number
+    nor null, raise :class:`~ufcast.exceptions.MalformedRowError` naming
+    the file and line.
     """
     records, errors, aggregate = [], [], None
     with open(path, "rb") as fh:
@@ -318,9 +424,10 @@ def read_results(path):
                 obj = json.loads(line.decode("utf-8"))
             except ValueError:  # UnicodeDecodeError is one too
                 obj = None
-            if not isinstance(obj, dict):
-                raise MalformedRowError(
-                    line_no, "not a JSON object in UTF-8", path)
+            problem = (_row_problem(obj) if isinstance(obj, dict)
+                       else "not a JSON object in UTF-8")
+            if problem is not None:
+                raise MalformedRowError(line_no, problem, path)
             kind = obj.get("type")
             if kind == "record":
                 records.append(_record(obj))

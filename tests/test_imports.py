@@ -10,7 +10,9 @@ name in ``__all__`` must be an attribute of the imported module.  The
 scipy scan reads every import statement, those inside functions too, and
 the rounding scan reads every node.  Only ``ufcast.core`` names the
 ``numbers`` ABCs: every other module checks a count with ``_check_integer``
-and a real-valued setting with ``_check_real``.
+and a real-valued setting with ``_check_real``.  Only
+``ufcast.m4.runner.open_outputs`` opens a file for writing, so every output
+file appears all or nothing.
 """
 
 import ast
@@ -331,3 +333,84 @@ def test_number_abc_scanner_sees_every_use():
     for snippet in allowed:
         assert number_abcs(snippet) == [], snippet
     assert number_abcs(CORE.read_text())
+
+
+WRITER_MODULE = SRC / "ufcast" / "m4" / "runner.py"
+WRITER = "open_outputs"
+_WRITE_MODES = set("wax+")
+
+
+def _open_mode(call):
+    """The mode argument of an ``open`` call, or None when it has none:
+    ``open(path, mode)`` and ``io.open(...)``, or ``path.open(mode)``."""
+    func = call.func
+    if isinstance(func, ast.Name) or (isinstance(func.value, ast.Name)
+                                      and func.value.id in ("io", "os")):
+        position = 1
+    else:
+        position = 0
+    for keyword in call.keywords:
+        if keyword.arg in ("mode", "flags"):
+            return keyword.value
+    return call.args[position] if len(call.args) > position else None
+
+
+def file_writes(source: str, skip_function: str | None = None) -> list[str]:
+    """``"<line>: <source>"`` of each call that can write a file: ``open``
+    (any ``.open`` too) with a mode that holds ``w``, ``a``, ``x`` or
+    ``+`` or is not a string literal, ``write_text`` and ``write_bytes``;
+    calls inside the function named ``skip_function`` are left out."""
+    tree = ast.parse(source)
+    skipped = {id(node) for top in ast.walk(tree)
+               if isinstance(top, ast.FunctionDef)
+               and top.name == skip_function for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in skipped:
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name == "open":
+            mode = _open_mode(node)
+            writes = mode is not None and not (
+                isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not _WRITE_MODES & set(mode.value))
+        else:
+            writes = (isinstance(func, ast.Attribute)
+                      and name in ("write_text", "write_bytes"))
+        if writes:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "module", MODULES, ids=[str(m.relative_to(SRC)) for m in MODULES])
+def test_only_the_writer_writes_files(module):
+    skip = WRITER if module == WRITER_MODULE else None
+    assert file_writes(module.read_text(), skip) == []
+
+
+def test_write_scanner_sees_every_file_write():
+    banned = [
+        "open(p, 'w')", "open(p, 'a', encoding='utf-8')", "open(p, 'x')",
+        "open(p, 'wb')", "open(p, 'r+')", "open(p, mode='w')",
+        "open(p, mode)", "io.open(p, 'w')", "Path(p).open('w')",
+        "p.open(mode='a')", "os.open(p, os.O_WRONLY)", "p.write_text(s)",
+        "Path(p).write_bytes(b)",
+        "def f():\n    with open(p, 'w') as fh:\n        pass",
+    ]
+    for snippet in banned:
+        assert file_writes(snippet), snippet
+    allowed = [
+        "open(p)", "open(p, 'rb')", "open(p, 'r')",
+        "open(p, newline='', encoding='utf-8-sig')", "p.open()",
+        "p.open('rb')", "fh.write(s)", "p.read_text()", "write_text(s)",
+        "def open_outputs(paths):\n    fh = open(p, 'x')",
+    ]
+    for snippet in allowed:
+        assert file_writes(snippet, WRITER) == [], snippet
+    # the writer writes, and it is the only function left out
+    assert file_writes(WRITER_MODULE.read_text())
+    assert file_writes("def g():\n    open(p, 'x')", WRITER) == [
+        "2: open(p, 'x')"]

@@ -2,6 +2,7 @@ import functools
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -112,7 +113,10 @@ class TestLoader:
         ('"H1",1.5\n"",2.5\n', 3, "missing series id"),
         ('"H1",1.5\n"H2",,\n', 3, "row has no values"),
         ('"H1",1.5\n"H2",2.5\n"H1",3.5\n', 4, "duplicate id H1"),
-    ], ids=["missing-id", "no-values", "duplicate-id"])
+        # a quote left open runs the field to the end of the file
+        ('"H1",1.5\n"H2,' + "2.5," * 40000 + "\n", 3,
+         r"field larger than field limit \(131072\)"),
+    ], ids=["missing-id", "no-values", "duplicate-id", "unclosed-quote"])
     def test_malformed_row(self, tmp_path, rows, line_no, detail):
         (tmp_path / "bad.csv").write_text('"V1","V2"\n' + rows)
         with pytest.raises(MalformedRowError, match=detail) as err:
@@ -120,6 +124,18 @@ class TestLoader:
                     DATASETS["hourly"])
         assert err.value.line_no == line_no
         assert err.value.path == tmp_path / "bad.csv"
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("", 1), ('"V1","V2"\n', 2), ('"V1","V2"\n\n,,\n', 4),
+    ], ids=["empty", "header-only", "blank-rows"])
+    def test_no_series_after_the_header(self, tmp_path, text, line_no):
+        (tmp_path / "t.csv").write_text(text)
+        write_m4_csv(tmp_path / "e.csv", [("H1", np.arange(1.0, 49.0))])
+        with pytest.raises(MalformedRowError,
+                           match="no series after the header") as err:
+            load_m4(tmp_path / "t.csv", tmp_path / "e.csv", DATASETS["hourly"])
+        assert err.value.line_no == line_no
+        assert err.value.path == tmp_path / "t.csv"
 
     def test_missing_test_series(self, tmp_path):
         write_m4_csv(tmp_path / "t.csv", [("H1", np.arange(1.0, 61.0))])
@@ -555,6 +571,169 @@ def _standalone_row(model, directory, sid):
     return row
 
 
+class TestOpenOutputs:
+    def test_every_file_appears_with_the_mode_open_gives(self, tmp_path):
+        (tmp_path / "b.svg").write_text("old")
+        with open(tmp_path / "plain", "w"):
+            pass
+        with runner.open_outputs([tmp_path / "a.json",
+                                  str(tmp_path / "b.svg")]) as (a, b):
+            a.write("one\n")
+            b.write("two")
+            assert not (tmp_path / "a.json").exists()
+            assert (tmp_path / "b.svg").read_text() == "old"
+        assert sorted(os.listdir(tmp_path)) == ["a.json", "b.svg", "plain"]
+        assert (tmp_path / "a.json").read_text() == "one\n"
+        assert (tmp_path / "b.svg").read_text() == "two"
+        mode = (tmp_path / "plain").stat().st_mode
+        assert (tmp_path / "a.json").stat().st_mode == mode
+        assert (tmp_path / "b.svg").stat().st_mode == mode
+
+    def test_an_error_in_the_block_leaves_nothing(self, tmp_path):
+        (tmp_path / "b.svg").write_text("old")
+        with pytest.raises(ZeroDivisionError):
+            with runner.open_outputs([tmp_path / "a.json",
+                                      tmp_path / "b.svg"]) as (a, b):
+                a.write("one\n")
+                1 / 0
+        assert os.listdir(tmp_path) == ["b.svg"]
+        assert (tmp_path / "b.svg").read_text() == "old"
+
+    @pytest.mark.parametrize("bad, error", [
+        ("nodir/b.svg", FileNotFoundError), ("adir", IsADirectoryError),
+        ("newname/", IsADirectoryError),
+    ])
+    def test_a_bad_path_is_refused_on_entry(self, tmp_path, bad, error):
+        (tmp_path / "adir").mkdir()
+        bad = os.path.join(tmp_path, bad)  # keeps a trailing slash
+        entered = False
+        with pytest.raises(error) as err:
+            with runner.open_outputs([tmp_path / "a.json", bad]):
+                entered = True
+        assert not entered
+        assert err.value.filename == bad
+        assert os.listdir(tmp_path) == ["adir"]
+
+    def test_an_existing_file_keeps_its_mode_and_links(self, tmp_path):
+        path, link = tmp_path / "r.json", tmp_path / "hard.json"
+        path.write_text("old")
+        path.chmod(0o600)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        with runner.open_outputs([path]) as (fh,):
+            fh.write("new")
+            assert path.read_text() == "old"
+        assert path.stat().st_ino == inode
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert link.read_text() == "new"
+        assert sorted(os.listdir(tmp_path)) == ["hard.json", "r.json"]
+
+    def test_a_read_only_file_is_refused_as_open_refuses_it(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text("old")
+        path.chmod(0o444)
+        try:
+            open(path, "a").close()  # what open(path, "w") would allow
+        except PermissionError:
+            with pytest.raises(PermissionError) as err:
+                with runner.open_outputs([path]):
+                    pytest.fail("entered")
+            assert err.value.filename == str(path)
+            assert path.read_text() == "old"
+        else:  # a superuser may write it, as open(path, "w") does
+            with runner.open_outputs([path]) as (fh,):
+                fh.write("new")
+            assert path.read_text() == "new"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o444
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    @pytest.mark.parametrize("exists", [True, False],
+                             ids=["to-a-file", "dangling"])
+    def test_a_symlink_is_written_through(self, tmp_path, exists):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        if exists:
+            real.write_text("old")
+        link.symlink_to(real)
+        with runner.open_outputs([link]) as (fh,):
+            fh.write("new")
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == "new"
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
+
+    def test_a_device_is_written_through_never_replaced(self):
+        before = os.stat(os.devnull)
+        assert stat.S_ISCHR(before.st_mode)
+        with runner.open_outputs([os.devnull]) as (fh,):
+            fh.write("discarded")
+        after = os.stat(os.devnull)
+        assert stat.S_ISCHR(after.st_mode)
+        assert (after.st_ino, after.st_rdev) == (before.st_ino, before.st_rdev)
+
+
+class TestReadResults:
+    """``read_results`` checks every row it hands on."""
+
+    @staticmethod
+    def _row(**fields):
+        row = {"type": "record", "series_id": "Y1", "model": "Naive",
+               "dataset": "yearly", "smape": 1.0, "mase": 2, "runtime_s": 0.5}
+        return {k: v for k, v in {**row, **fields}.items() if v != "-"}
+
+    @pytest.mark.parametrize("fields, detail", [
+        ({"series_id": 1}, "'series_id' is not a string"),
+        ({"model": "-"}, "'model' is not a string"),
+        ({"dataset": None}, "'dataset' is not a string"),
+        ({"smape": "-"}, "'smape' is not a number in float range"),
+        ({"mase": True}, "'mase' is not a number in float range"),
+        ({"runtime_s": "0.5"}, "'runtime_s' is not a number in float range"),
+        ({"smape": [1.0]}, "'smape' is not a number in float range"),
+        ({"smape": 2 ** 1024}, "'smape' is not a number in float range"),
+    ], ids=["id-int", "no-model", "dataset-null", "no-smape", "mase-bool",
+            "runtime-string", "smape-list", "smape-past-float-range"])
+    def test_bad_record_field(self, tmp_path, fields, detail):
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps(self._row()) + "\n"
+                        + json.dumps(self._row(**fields)) + "\n")
+        with pytest.raises(MalformedRowError) as err:
+            read_results(path)
+        assert str(err.value) == (
+            f"malformed row at line 2 of {path}: record field {detail}")
+
+    @pytest.mark.parametrize("datasets, detail", [
+        ("-", "aggregate 'datasets' is not an object of objects"),
+        ([], "aggregate 'datasets' is not an object of objects"),
+        ({"yearly": 3}, "aggregate 'datasets' is not an object of objects"),
+        ({"yearly": {}},
+         "aggregate 'models' of dataset 'yearly' is not an object of objects"),
+        ({"yearly": {"models": {"Naive": None}}},
+         "aggregate 'models' of dataset 'yearly' is not an object of objects"),
+        ({"yearly": {"models": {"Naive": {"mean_smape": "1.5"}}}},
+         "aggregate 'mean_smape' of 'Naive' in dataset 'yearly' is not a "
+         "number or null"),
+        ({"yearly": {"models": {"Naive": {"owa": False}}}},
+         "aggregate 'owa' of 'Naive' in dataset 'yearly' is not a number or "
+         "null"),
+    ], ids=["missing", "list", "dataset-int", "no-models", "entry-null",
+            "entry-string", "entry-bool"])
+    def test_bad_aggregate(self, tmp_path, datasets, detail):
+        path = tmp_path / "r.jsonl"
+        row = {"type": "aggregate", "datasets": datasets}
+        path.write_text(json.dumps({k: v for k, v in row.items()
+                                    if v != "-"}) + "\n")
+        with pytest.raises(MalformedRowError) as err:
+            read_results(path)
+        assert str(err.value) == f"malformed row at line 1 of {path}: {detail}"
+
+    def test_non_finite_scores_still_load(self, tmp_path):
+        # ``stats`` refuses them later, with its own message
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"type": "record", "series_id": "Y1", "model": "a", '
+                        '"dataset": "yearly", "smape": NaN, "mase": Infinity,'
+                        ' "runtime_s": 0}\n')
+        (record,), _, _ = read_results(path)
+        assert record.smape != record.smape and record.mase == float("inf")
+
+
 class TestPerSeriesTasks:
     """One task runs every model on one series; ``Com``'s SES, Holt and
     Damped pipelines take the fits those models made in the same task."""
@@ -907,6 +1086,16 @@ class TestCli:
         assert "no records" in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
 
+    def test_out_to_a_device_writes_through(self, mini_run):
+        from ufcast.m4.cli import main
+
+        _, out, _ = mini_run
+        before = os.stat(os.devnull)
+        assert main(["stats", "--results", str(out), "--test", "friedman",
+                     "--out", os.devnull]) == 0
+        after = os.stat(os.devnull)
+        assert stat.S_ISCHR(after.st_mode) and after.st_ino == before.st_ino
+
     def test_svg_needs_nemenyi(self, mini_run, tmp_path, capsys):
         from ufcast.m4.cli import main
 
@@ -992,6 +1181,94 @@ class TestCli:
             captured = capsys.readouterr()
             assert message in captured.err and not captured.out, argv
             assert not out.exists()
+
+    @staticmethod
+    def _probe(mini_m4_dir, mini_run, root, kind):
+        """The argv of a command that must be refused, and the text its
+        refusal prints."""
+        _, out, _ = mini_run
+        lines = out.read_text().splitlines(keepends=True)
+        results = root / "r.jsonl"
+        if kind.endswith("record-without-smape"):
+            row = json.loads(lines[0])
+            del row["smape"]
+            results.write_text(json.dumps(row) + "\n" + "".join(lines[1:]))
+            message = (f"malformed row at line 1 of {results}: "
+                       "record field 'smape' is not a number in float range")
+            command = kind.partition("-")[0]
+            argv = [command, "--results", str(results),
+                    "--out", str(root / "out.txt")]
+            return argv + (["--test", "friedman"]
+                           if command == "stats" else []), message
+        if kind.startswith("compare-aggregate"):
+            aggregate = json.loads(lines[-1])
+            if kind == "compare-aggregate-without-datasets":
+                del aggregate["datasets"]
+                detail = "aggregate 'datasets' is not an object of objects"
+            else:
+                aggregate["datasets"]["hourly"]["models"]["Naive"] = 3
+                detail = ("aggregate 'models' of dataset 'hourly' is not an "
+                          "object of objects")
+            results.write_text(json.dumps(aggregate) + "\n")
+            return (["compare", "--results", str(results),
+                     "--out", str(root / "c.csv")],
+                    f"malformed row at line 1 of {results}: {detail}")
+        missing = root / "nodir" / {"stats-out": "s.json",
+                                    "compare-out": "c.csv",
+                                    "stats-svg": "x.svg",
+                                    "run-out": "r.jsonl"}.get(kind, "")
+        message = f"No such file or directory: '{missing}'"
+        if kind == "stats-out":
+            argv = ["stats", "--results", str(out), "--test", "friedman",
+                    "--out", str(missing)]
+        elif kind == "compare-out":
+            argv = ["compare", "--results", str(out), "--out", str(missing)]
+        elif kind == "stats-svg":
+            argv = ["stats", "--results", str(out), "--test", "nemenyi",
+                    "--out", str(root / "s2.json"), "--svg", str(missing)]
+        elif kind == "compare-published-directory":
+            (root / "pub").mkdir()
+            argv = ["compare", "--results", str(out), "--published",
+                    str(root / "pub"), "--out", str(root / "c.csv")]
+            message = f"Is a directory: '{root / 'pub'}'"
+        elif kind == "run-out":
+            argv = ["run", "--dataset", "hourly", "--models", "Naive",
+                    "--train-dir", str(mini_m4_dir),
+                    "--test-dir", str(mini_m4_dir), "--out", str(missing)]
+        else:  # run-empty-training-file
+            (root / "Hourly-train.csv").write_text('"V1","V2"\n')
+            (root / "Hourly-test.csv").write_bytes(
+                (mini_m4_dir / "Hourly-test.csv").read_bytes())
+            argv = ["run", "--dataset", "hourly", "--models", "Naive",
+                    "--train-dir", str(root), "--test-dir", str(root),
+                    "--out", str(root / "r.jsonl")]
+            message = (f"malformed row at line 2 of "
+                       f"{root / 'Hourly-train.csv'}: no series after the "
+                       "header")
+        return argv, message
+
+    @pytest.mark.parametrize("kind", [
+        "stats-record-without-smape", "compare-record-without-smape",
+        "stats-out", "compare-out", "stats-svg", "compare-published-directory",
+        "compare-aggregate-entry-not-an-object",
+        "compare-aggregate-without-datasets", "run-out",
+        "run-empty-training-file",
+    ])
+    def test_refusal_exits_2_and_leaves_no_file(self, mini_m4_dir, mini_run,
+                                                tmp_path, capsys, monkeypatch,
+                                                kind):
+        from ufcast.m4.cli import main
+
+        if kind == "run-out":  # refused before any data is read
+            def load_m4(*args):
+                raise AssertionError("data read before --out was checked")
+            monkeypatch.setattr(runner, "load_m4", load_m4)
+        argv, message = self._probe(mini_m4_dir, mini_run, tmp_path, kind)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_stats_nan_alpha_exits_2(self, mini_run, tmp_path, capsys):
         from ufcast.m4.cli import main
