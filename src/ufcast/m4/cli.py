@@ -9,7 +9,10 @@ prints why to stderr, leaves no output file and exits with status 2:
 :func:`main` is the one place that turns a refusal into that status.
 Output files are written only when the command succeeds, all of them
 (:func:`~ufcast.m4.runner.open_outputs`), and ``run`` checks that ``--out``
-can be written before it reads any data.
+can be written before it reads any data.  Input files, the data CSVs, a
+results file and a published table alike, are read by one reader
+(:mod:`ufcast.m4.datasets`): a byte-order mark is accepted in any of them,
+and every refusal of their contents names the file and the line.
 """
 
 from __future__ import annotations

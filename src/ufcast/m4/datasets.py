@@ -4,11 +4,19 @@ The distribution files are one CSV per frequency (``Hourly-train.csv``,
 ``Hourly-test.csv``, ...), each row a quoted series id followed by the
 observations, ragged with trailing empty cells.  Frequencies fix the
 seasonal periodicity and forecasting horizon.
+
+One reader, :func:`_numbered_lines`, reads every file ``ufcast-m4`` reads:
+these CSVs, a published-values table and a results file.  Lines end at
+``\\n``, ``\\r\\n`` or a bare ``\\r``, a UTF-8 byte-order mark at the start
+of any of them is dropped, and every refusal of their contents names the
+file and the physical line.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -51,54 +59,76 @@ def natural_key(series_id: str):
     return (series_id, 0)
 
 
+def _numbered_lines(path):
+    """``(line number, bytes)`` of each line of ``path``, its end kept; the
+    only place that opens a file for reading (see the module docstring)."""
+    with open(path, "rb") as fh:
+        head = fh.readline().removeprefix(codecs.BOM_UTF8)
+        yield from enumerate((line for chunk in itertools.chain([head], fh)
+                              for line in chunk.splitlines(keepends=True)),
+                             start=1)
+
+
+def _csv_records(path, comment=None):
+    """``(line the record starts on, cells)`` of each CSV record of ``path``
+    not on a line starting with ``comment``; a line that is not UTF-8 and a
+    record the csv module refuses raise :class:`MalformedRowError`."""
+    first = last = 0  # the lines the record being read starts and ends on
+
+    def text():
+        nonlocal first, last
+        for last, line in _numbered_lines(path):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedRowError(last, str(exc), path) from None
+            if comment is None or not line.startswith(comment):
+                first = first or last
+                yield line
+
+    try:
+        for cells in csv.reader(text()):
+            yield first, cells
+            first = 0
+    except csv.Error as exc:
+        raise MalformedRowError(last, str(exc), path) from None
+
+
 def _read_series_csv(path) -> dict[str, list[float]]:
     out: dict[str, list[float]] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            for line_no, row in enumerate(reader, start=1):
-                if line_no == 1:  # header
-                    continue
-                if not row or all(not c.strip() for c in row):
-                    continue
-                series_id = row[0].strip().strip('"')
-                if not series_id:
-                    raise MalformedRowError(line_no, "missing series id", path)
-                values = []
-                stopped_at = None
-                for col, cell in enumerate(row[1:], start=1):
-                    cell = cell.strip()
-                    if cell == "":
-                        stopped_at = col
-                        break
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise MalformedRowError(
-                            line_no, f"non-numeric token {cell!r}", path
-                        ) from None
-                    if not math.isfinite(value):  # "nan", "inf", "-Infinity"
-                        raise MalformedRowError(
-                            line_no, f"non-finite value {cell!r} in series "
-                            f"{series_id}", path)
-                    values.append(value)
-                # only trailing empties may follow the first empty cell
-                if stopped_at is not None and any(
-                    c.strip() for c in row[stopped_at + 1:]
-                ):
-                    raise MalformedRowError(
-                        line_no, "gap inside the row", path)
-                if not values:
-                    raise MalformedRowError(line_no, "row has no values", path)
-                if series_id in out:
-                    raise MalformedRowError(
-                        line_no, f"duplicate id {series_id}", path)
-                out[series_id] = values
-        except csv.Error as exc:  # a quoted field past the size limit
-            raise MalformedRowError(reader.line_num, str(exc), path) from None
+    records = _csv_records(path)
+    line_no, _ = next(records, (0, None))  # the header
+    for line_no, row in records:
+        cells = list(map(str.strip, row))
+        if not any(cells):
+            continue
+        series_id = cells[0].strip('"')
+        if not series_id:
+            raise MalformedRowError(line_no, "missing series id", path)
+        # the values run up to the first empty cell
+        cut = cells.index("") if "" in cells else len(cells)
+        values = []
+        for cell in cells[1:cut]:
+            try:
+                value = float(cell)
+            except ValueError:
+                raise MalformedRowError(
+                    line_no, f"non-numeric token {cell!r}", path) from None
+            if not math.isfinite(value):  # "nan", "inf", "-Infinity"
+                raise MalformedRowError(
+                    line_no, f"non-finite value {cell!r} in series "
+                    f"{series_id}", path)
+            values.append(value)
+        if any(cells[cut:]):  # only empty cells may follow the first one
+            raise MalformedRowError(line_no, "gap inside the row", path)
+        if not values:
+            raise MalformedRowError(line_no, "row has no values", path)
+        if series_id in out:
+            raise MalformedRowError(line_no, f"duplicate id {series_id}", path)
+        out[series_id] = values
     if not out:
         raise MalformedRowError(
-            reader.line_num + 1, "no series after the header", path)
+            line_no + 1, "no series after the header", path)
     return out
 
 
@@ -108,7 +138,10 @@ def load_m4(train_path, test_path, spec: DatasetSpec):
     Training series are anchored at position 0; test series continue at
     position ``len(train)``.  Every training id must have a test series of
     exactly ``spec.horizon`` values, every value must be finite, and a
-    file with no series after its header is refused.
+    file with no series after its header is refused.  A line that is not
+    UTF-8 or CSV, or a row that is not an id followed by numbers (trailing
+    empty cells allowed), raises :class:`MalformedRowError` naming the file
+    and the line the row starts on.
     """
     trains = _read_series_csv(train_path)
     tests = _read_series_csv(test_path)

@@ -3,16 +3,19 @@
 The package ships a reference table keyed (model, dataset, metric); the
 ``compare`` interface reports ``100 * (replicated - published) / published``
 per cell, rendered as CSV and as an aligned text table at three decimals.
+A table is read by the reader of every ``ufcast-m4`` input
+(:mod:`ufcast.m4.datasets`): a byte-order mark is accepted, and a line
+that is not UTF-8 or CSV is refused naming the file and the line.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from importlib import resources
 from pathlib import Path
 
 from ..exceptions import MalformedRowError, MissingReferenceError
+from .datasets import _csv_records
 
 __all__ = [
     "default_published_path",
@@ -34,42 +37,36 @@ def default_published_path() -> Path:
 def load_published(path=None) -> dict:
     """Read a published-values CSV into {(model, dataset, metric): value}.
 
-    Lines starting with ``#`` are comments.  A header without one of the
-    columns ``model``, ``dataset``, ``metric`` and ``value``, or a row
-    whose value is missing, not a number, zero or not finite, raises
+    Lines starting with ``#`` are comments.  A line that is not UTF-8 or
+    CSV (a cell past the csv module's field limit), a header without one
+    of the columns ``model``, ``dataset``, ``metric`` and ``value``, or a
+    row whose value is missing, not a number, zero or not finite, raises
     MalformedRowError naming the file and the line.
     """
     path = default_published_path() if path is None else path
     out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        kept = []  # file line number of each line the reader sees
-
-        def lines():
-            for line_no, line in enumerate(fh, start=1):
-                if not line.startswith("#"):
-                    kept.append(line_no)
-                    yield line
-
-        reader = csv.DictReader(lines())
-        if reader.fieldnames is None:  # an empty file
-            return out
-        for column in _COLUMNS:
-            if column not in reader.fieldnames:
-                raise MalformedRowError(
-                    kept[reader.line_num - 1], f"no {column!r} column", path)
-        for row in reader:
-            try:
-                value = float(row["value"])
-            except (TypeError, ValueError):  # None when the row is short
-                raise MalformedRowError(
-                    kept[reader.line_num - 1],
-                    f"value {row['value']!r} is not a number", path) from None
-            if value == 0.0 or not math.isfinite(value):  # a diff divides by it
-                raise MalformedRowError(
-                    kept[reader.line_num - 1],
-                    f"value {row['value']!r} is not a finite nonzero number",
-                    path)
-            out[(row["model"], row["dataset"], row["metric"])] = value
+    records = _csv_records(path, comment="#")
+    line_no, header = next(records, (0, None))
+    if header is None:  # an empty file
+        return out
+    for column in _COLUMNS:
+        if column not in header:
+            raise MalformedRowError(line_no, f"no {column!r} column", path)
+    for line_no, cells in records:
+        if not cells:  # a blank line
+            continue
+        row = dict(zip(header, cells))
+        text = row.get("value")  # None when the row is short
+        try:
+            value = float(text)
+        except (TypeError, ValueError):
+            raise MalformedRowError(
+                line_no, f"value {text!r} is not a number", path) from None
+        if value == 0.0 or not math.isfinite(value):  # a diff divides by it
+            raise MalformedRowError(
+                line_no, f"value {text!r} is not a finite nonzero number",
+                path)
+        out[(row.get("model"), row.get("dataset"), row.get("metric"))] = value
     return out
 
 

@@ -10,10 +10,11 @@ Holt and Damped pipelines take the fits of those models.  A shared fit is
 timed in the row of the first model that needs it, so per-model runtimes
 depend on the manifest's model order; metric values do not.  A manifest
 that cannot run is refused before any data is read (see :func:`run`);
-per-series failures are recorded as data and never abort a run.  Results
-are JSON-lines — one record or error object per line, then one aggregate
-block — with all numbers rendered at 17 significant digits so identical
-manifests produce byte-identical files (runtimes excepted).
+per-series failures, a score that overflows to NaN or infinity among them,
+are recorded as data and never abort a run.  Results are JSON-lines — one
+record or error object per line, then one aggregate block — with all
+numbers rendered at 17 significant digits so identical manifests produce
+byte-identical files (runtimes excepted).
 
 Workers share nothing mutable and results are folded in a canonical
 (dataset, model, series) order, so metric values are independent of the
@@ -27,6 +28,7 @@ import contextlib
 import errno
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -40,8 +42,9 @@ from ..evaluation import (
     MASE_DENOMINATORS, EvalRecord, mase, mean_ranks, owa, rank_models, smape,
 )
 from ..exceptions import (FIT_ERRORS, MalformedRowError,
-                          ZeroDenominatorError)
-from .datasets import DATASETS, load_m4, natural_key, resolve_paths
+                          NonFiniteInputError, ZeroDenominatorError)
+from .datasets import (DATASETS, _numbered_lines, load_m4, natural_key,
+                       resolve_paths)
 from .registry import build_model
 
 __all__ = ["RunManifest", "run", "read_results", "dumps_17g", "open_outputs"]
@@ -173,10 +176,13 @@ def _evaluate_series(task: tuple, external_regressors: dict | None) -> list:
                     external_regressors=external_regressors,
                 ).fit(train).predict(fh).values
                 runtime = time.perf_counter() - started
-                row = {"type": "record", **head,
-                       "smape": smape(test.values, values),
-                       "mase": mase(test.values, values, train.values, sp,
-                                    denominator=mase_denominator)}
+                scores = {"smape": smape(test.values, values),
+                          "mase": mase(test.values, values, train.values, sp,
+                                       denominator=mase_denominator)}
+                if not all(map(math.isfinite, scores.values())):
+                    # huge finite values can overflow a score's sums
+                    raise NonFiniteInputError(f"non-finite score {scores}")
+                row = {"type": "record", **head, **scores}
             except FIT_ERRORS as exc:
                 runtime = time.perf_counter() - started
                 row = {"type": "error", **head,
@@ -413,26 +419,25 @@ def read_results(path):
     ``models``, is not an object of objects, or whose model entries hold a
     ``mean_smape``, ``mean_mase`` or ``owa`` that is neither such a number
     nor null, raise :class:`~ufcast.exceptions.MalformedRowError` naming
-    the file and line.
+    the file and line.  A byte-order mark at the start is dropped.
     """
     records, errors, aggregate = [], [], None
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line.decode("utf-8"))
-            except ValueError:  # UnicodeDecodeError is one too
-                obj = None
-            problem = (_row_problem(obj) if isinstance(obj, dict)
-                       else "not a JSON object in UTF-8")
-            if problem is not None:
-                raise MalformedRowError(line_no, problem, path)
-            kind = obj.get("type")
-            if kind == "record":
-                records.append(_record(obj))
-            elif kind == "error":
-                errors.append(obj)
-            elif kind == "aggregate":
-                aggregate = obj
+    for line_no, line in _numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError is one too
+            obj = None
+        problem = (_row_problem(obj) if isinstance(obj, dict)
+                   else "not a JSON object in UTF-8")
+        if problem is not None:
+            raise MalformedRowError(line_no, problem, path)
+        kind = obj.get("type")
+        if kind == "record":
+            records.append(_record(obj))
+        elif kind == "error":
+            errors.append(obj)
+        elif kind == "aggregate":
+            aggregate = obj
     return records, errors, aggregate

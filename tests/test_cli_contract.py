@@ -3,9 +3,10 @@
 A property test calls ``cli.main(argv)`` in-process on generated M4 CSVs,
 results files and published tables: valid ones first, then mutated (CRLF
 line ends, a byte-order mark, blank lines, ragged rows, non-UTF-8 bytes,
-huge and subnormal values, duplicate and missing ids, files cut at a
-random byte) and with output paths in missing directories or naming
-existing directories.  ``main`` must return 0 or 2 and raise nothing; a 2
+huge and subnormal values, duplicate and missing ids, cells and quotes
+running past the csv module's field limit, files cut at a random byte)
+and with output paths in missing directories or naming existing
+directories.  ``main`` must return 0 or 2 and raise nothing; a 2
 must leave no output file and a 0 every output it names, and neither may
 leave a temporary file.  Two subprocess cases check the real exit status.
 """
@@ -96,6 +97,7 @@ if given is not None:
     _HUGE = [b"1e308", b"-1.7976931348623157e308", b"1e309",
              b"123456789" * 40]
     _TINY = [b"5e-324", b"-2.2250738585072014e-308", b"1e-400"]
+    _LONG = [b"1" * 131_073, b'"' + b"1.5," * 32_769]  # a cell, a quote
 
     @st.composite
     def mutated(draw, data: bytes) -> bytes:
@@ -104,7 +106,7 @@ if given is not None:
             lines = data.split(b"\n")
             kind = draw(st.sampled_from([
                 "crlf", "bom", "blank", "ragged", "non-utf8", "huge", "tiny",
-                "duplicate", "drop", "no-id", "quote", "cut"]))
+                "duplicate", "drop", "no-id", "quote", "long-field", "cut"]))
             at = draw(st.integers(0, max(len(lines) - 2, 0)))
             if kind == "crlf":
                 data = data.replace(b"\n", b"\r\n")
@@ -145,6 +147,9 @@ if given is not None:
             elif kind == "quote":
                 i = draw(st.integers(0, len(data)))
                 data = data[:i] + b'"' + data[i:]
+            elif kind == "long-field":  # past the csv module's field limit
+                i = draw(st.integers(0, len(data)))
+                data = data[:i] + draw(st.sampled_from(_LONG)) + data[i:]
             else:  # cut
                 data = data[:draw(st.integers(0, len(data)))]
         return data

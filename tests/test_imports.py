@@ -12,7 +12,9 @@ the rounding scan reads every node.  Only ``ufcast.core`` names the
 ``numbers`` ABCs: every other module checks a count with ``_check_integer``
 and a real-valued setting with ``_check_real``.  Only
 ``ufcast.m4.runner.open_outputs`` opens a file for writing, so every output
-file appears all or nothing.
+file appears all or nothing, and only ``ufcast.m4.datasets._numbered_lines``
+opens one for reading, so every input is split into lines and numbered the
+same way.
 """
 
 import ast
@@ -355,22 +357,28 @@ def _open_mode(call):
     return call.args[position] if len(call.args) > position else None
 
 
+def _calls(source: str, skip_function: str | None):
+    """``(call, name of the called function or method)`` for each call in
+    ``source`` outside the function named ``skip_function``."""
+    tree = ast.parse(source)
+    skipped = {id(node) for top in ast.walk(tree)
+               if isinstance(top, ast.FunctionDef)
+               and top.name == skip_function for node in ast.walk(top)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in skipped:
+            func = node.func
+            yield node, (func.id if isinstance(func, ast.Name)
+                         else getattr(func, "attr", None))
+
+
 def file_writes(source: str, skip_function: str | None = None) -> list[str]:
     """``"<line>: <source>"`` of each call that can write a file: ``open``
     (any ``.open`` too) with a mode that holds ``w``, ``a``, ``x`` or
     ``+`` or is not a string literal, ``write_text`` and ``write_bytes``;
     calls inside the function named ``skip_function`` are left out."""
-    tree = ast.parse(source)
-    skipped = {id(node) for top in ast.walk(tree)
-               if isinstance(top, ast.FunctionDef)
-               and top.name == skip_function for node in ast.walk(top)}
     found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or id(node) in skipped:
-            continue
+    for node, name in _calls(source, skip_function):
         func = node.func
-        name = (func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None)
         if name == "open":
             mode = _open_mode(node)
             writes = mode is not None and not (
@@ -414,3 +422,50 @@ def test_write_scanner_sees_every_file_write():
     assert file_writes(WRITER_MODULE.read_text())
     assert file_writes("def g():\n    open(p, 'x')", WRITER) == [
         "2: open(p, 'x')"]
+
+
+READER_MODULE = SRC / "ufcast" / "m4" / "datasets.py"
+READER = "_numbered_lines"
+_FILE_METHODS = {"read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def file_opens(source: str, skip_function: str | None = None) -> list[str]:
+    """``"<line>: <source>"`` of each call that opens a file: ``open`` and
+    any ``.open`` (``io.open``, ``os.open``, ``Path.open``), and the
+    ``read_text``, ``read_bytes``, ``write_text`` and ``write_bytes``
+    methods; calls inside the function named ``skip_function`` are left
+    out."""
+    return [f"{node.lineno}: {ast.unparse(node)}"
+            for node, name in _calls(source, skip_function)
+            if name == "open" or (isinstance(node.func, ast.Attribute)
+                                  and name in _FILE_METHODS)]
+
+
+@pytest.mark.parametrize(
+    "module", MODULES, ids=[str(m.relative_to(SRC)) for m in MODULES])
+def test_only_the_writer_and_the_reader_open_files(module):
+    skip = {WRITER_MODULE: WRITER, READER_MODULE: READER}.get(module)
+    assert file_opens(module.read_text(), skip) == []
+
+
+def test_open_scanner_sees_every_file_open():
+    banned = [
+        "open(p)", "open(p, 'rb')", "open(p, newline='', encoding='utf-8')",
+        "io.open(p)", "os.open(p, os.O_RDONLY)", "Path(p).open()",
+        "p.open('rb')", "p.read_text()", "Path(p).read_bytes()",
+        "p.write_text(s)", "with open(p) as fh:\n    pass",
+        "def f():\n    return open(p).read()",
+        "def _numbered_lines(path):\n    pass\nopen(p)",
+    ]
+    for snippet in banned:
+        assert file_opens(snippet, READER), snippet
+    allowed = [
+        "fh.read()", "fh.readline()", "read_text(p)", "opener(p)",
+        "p.opened", "def _numbered_lines(path):\n    with open(path, 'rb')"
+        " as fh:\n        yield from fh",
+    ]
+    for snippet in allowed:
+        assert file_opens(snippet, READER) == [], snippet
+    # the reader opens one file, and it is the only function left out
+    assert len(file_opens(READER_MODULE.read_text())) == 1
+    assert file_opens("def g():\n    open(p)", READER) == ["2: open(p)"]

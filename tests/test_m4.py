@@ -28,7 +28,7 @@ from ufcast.exceptions import (
 )
 from ufcast.forecasters import HoltForecaster, SESForecaster
 from ufcast.m4.cli import _DEFAULT_MODELS
-from ufcast.m4.datasets import DATASETS, load_m4
+from ufcast.m4.datasets import DATASETS, DatasetSpec, load_m4
 from ufcast.m4.published import (
     compare_aggregate,
     comparison_csv,
@@ -113,10 +113,14 @@ class TestLoader:
         ('"H1",1.5\n"",2.5\n', 3, "missing series id"),
         ('"H1",1.5\n"H2",,\n', 3, "row has no values"),
         ('"H1",1.5\n"H2",2.5\n"H1",3.5\n', 4, "duplicate id H1"),
+        # a quoted cell over two lines: a record is named by its first line
+        ('"H1","1.5\n",oops\n', 2, "non-numeric token 'oops'"),
+        ('"H1","1.5\n",2.5\n"H2",oops\n', 4, "non-numeric token 'oops'"),
         # a quote left open runs the field to the end of the file
         ('"H1",1.5\n"H2,' + "2.5," * 40000 + "\n", 3,
          r"field larger than field limit \(131072\)"),
-    ], ids=["missing-id", "no-values", "duplicate-id", "unclosed-quote"])
+    ], ids=["missing-id", "no-values", "duplicate-id", "in-two-line-cell",
+            "after-two-line-cell", "unclosed-quote"])
     def test_malformed_row(self, tmp_path, rows, line_no, detail):
         (tmp_path / "bad.csv").write_text('"V1","V2"\n' + rows)
         with pytest.raises(MalformedRowError, match=detail) as err:
@@ -136,6 +140,24 @@ class TestLoader:
             load_m4(tmp_path / "t.csv", tmp_path / "e.csv", DATASETS["hourly"])
         assert err.value.line_no == line_no
         assert err.value.path == tmp_path / "t.csv"
+
+    def test_bare_carriage_returns_end_lines(self, tmp_path):
+        # lines end at "\n", "\r\n" or a bare "\r", as in text mode
+        text = '"V1","V2","V3",""\n"H1",1.5,2.5,\n"H2",3.5,4.5,\n'
+        spec = DatasetSpec("yearly", 1, 2)
+        loaded = {}
+        for end, name in (("\n", "lf"), ("\r\n", "crlf"), ("\r", "cr")):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(text.replace("\n", end).encode())
+            loaded[end] = [(sid, train.values.tolist(), test.values.tolist())
+                           for sid, train, test in load_m4(path, path, spec)]
+            path.write_bytes((text + '"H3",oops\n').replace("\n", end)
+                             .encode())
+            with pytest.raises(MalformedRowError) as err:
+                load_m4(path, path, spec)
+            assert err.value.line_no == 4, repr(end)
+        assert loaded["\r"] == loaded["\r\n"] == loaded["\n"] == [
+            ("H1", [1.5, 2.5], [1.5, 2.5]), ("H2", [3.5, 4.5], [3.5, 4.5])]
 
     def test_missing_test_series(self, tmp_path):
         write_m4_csv(tmp_path / "t.csv", [("H1", np.arange(1.0, 61.0))])
@@ -355,6 +377,39 @@ class TestRunner:
         records, errors, aggregate = read_results(tmp_path / "r.jsonl")
         assert len(records) == 3 and not errors
         assert aggregate["datasets"]["yearly"]["models"] == models
+
+    def test_a_non_finite_score_is_an_error_row(self, tmp_path, capsys):
+        # 1e308 is finite, but the sums of Y2's scores overflow
+        from ufcast.m4.cli import main
+
+        y1 = ("Y1", [10.0 + 0.5 * i + i % 3 for i in range(20)], [20.0] * 6)
+        y2 = ("Y2", [*range(10, 29), 1e308], [1e308] + [5.0] * 5)
+        lines = {}
+        for name, panel in (("both", [y1, y2]), ("alone", [y1])):
+            root = tmp_path / name
+            root.mkdir()
+            write_m4_csv(root / "Yearly-train.csv",
+                         [(sid, train) for sid, train, _ in panel])
+            write_m4_csv(root / "Yearly-test.csv",
+                         [(sid, test) for sid, _, test in panel])
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main(["run", "--dataset", "yearly",
+                             "--models", "Naive,SES,Theta",
+                             "--train-dir", str(root), "--test-dir",
+                             str(root), "--out", str(root / "r.jsonl")]) == 0
+            lines[name] = [
+                re.sub(r', "runtime_s": [^,}]*', "", line) for line in
+                (root / "r.jsonl").read_text().splitlines()[:-1]]
+        capsys.readouterr()
+        rows = [json.loads(line) for line in lines["both"]]
+        y2_rows = {r["model"]: r for r in rows if r["series_id"] == "Y2"}
+        assert len(y2_rows) == 4
+        assert all(r["type"] == "error" for r in y2_rows.values())
+        for model in ("Naive", "Naive2"):
+            assert y2_rows[model]["error"].startswith(
+                "NonFiniteInputError: non-finite score")
+        assert [line for line in lines["both"] if '"Y1"' in line] == (
+            lines["alone"])
 
     def test_failed_run_clears_external_regressors(self, tmp_path):
         manifest = RunManifest(
@@ -724,6 +779,12 @@ class TestReadResults:
             read_results(path)
         assert str(err.value) == f"malformed row at line 1 of {path}: {detail}"
 
+    def test_a_byte_order_mark_is_dropped(self, mini_run, tmp_path):
+        _, out, _ = mini_run
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
+        assert read_results(path) == read_results(out)
+
     def test_non_finite_scores_still_load(self, tmp_path):
         # ``stats`` refuses them later, with its own message
         path = tmp_path / "r.jsonl"
@@ -931,6 +992,12 @@ class TestCompare:
         assert pub[("Naive2", "total", "mase")] == 1.912
         assert pub[("Naive2", "total", "owa")] == 1.0
         assert default_published_path().exists()
+
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "pub.csv"
+        path.write_bytes(b"\xef\xbb\xbfmodel,dataset,metric,value\n"
+                         b"Naive,hourly,smape,1.5\n")
+        assert load_published(path) == {("Naive", "hourly", "smape"): 1.5}
 
     def test_csv_rendering_parses_back(self):
         rows = [{"model": "Naive", "dataset": "hourly", "metric": "smape",
@@ -1309,8 +1376,10 @@ class TestCli:
         ("model,dataset,metric,value\nNaive,hourly,smape,1.0\n"
          "Naive,hourly,mase,nan\n",
          3, "value 'nan' is not a finite nonzero number"),
+        ("model,dataset,metric,value\nNaive,hourly,smape," + "1" * 200_000
+         + "\n", 2, "field larger than field limit"),
     ], ids=["non-numeric-value", "missing-metric-column", "zero-value",
-            "nan-value"])
+            "nan-value", "field-past-the-limit"])
     def test_compare_malformed_published_exits_2(self, mini_run, tmp_path,
                                                  capsys, text, line_no,
                                                  detail):
@@ -1424,6 +1493,41 @@ class TestCli:
         assert (f"malformed row at line 4 of {test}: non-numeric token "
                 "'oops'") in capsys.readouterr().err
         assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("part", ["train", "published"])
+    def test_non_utf8_line_exits_2_naming_it(self, mini_m4_dir, mini_run,
+                                             tmp_path, capsys, part):
+        from ufcast.m4.cli import main
+
+        if part == "train":
+            for name in ("Hourly-train.csv", "Hourly-test.csv"):
+                (tmp_path / name).write_bytes(
+                    (mini_m4_dir / name).read_bytes())
+            bad = tmp_path / "Hourly-train.csv"
+            lines = bad.read_bytes().splitlines(keepends=True)
+            lines[3] = lines[3].replace(b",", b",\xff", 1)
+            bad.write_bytes(b"".join(lines))
+            with pytest.raises(MalformedRowError) as err:
+                load_m4(bad, tmp_path / "Hourly-test.csv", DATASETS["hourly"])
+            argv = ["run", "--dataset", "hourly", "--models", "Naive",
+                    "--train-dir", str(tmp_path), "--test-dir", str(tmp_path)]
+        else:
+            bad = tmp_path / "pub.csv"
+            bad.write_bytes(b"model,dataset,metric,value\n"
+                            b"Naive,hourly,smape,1.0\n"
+                            b"Naive,hourly,mase,\xff1.0\n")
+            with pytest.raises(MalformedRowError) as err:
+                load_published(bad)
+            argv = ["compare", "--results", str(mini_run[1]),
+                    "--published", str(bad)]
+        line_no = 4 if part == "train" else 3
+        assert err.value.line_no == line_no and err.value.path == bad
+        assert main([*argv, "--out", str(tmp_path / "out.txt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"malformed row at line {line_no} of {bad}: 'utf-8' codec can't "
+            "decode byte 0xff in position ")
+        assert not captured.out and not (tmp_path / "out.txt").exists()
 
     def test_module_entry_point(self, mini_m4_dir, tmp_path):
         # ``python -m ufcast.m4.cli`` exits with main()'s status
